@@ -111,11 +111,6 @@ class ReplayBuffer:
                 self.next_obs[idx], self.dones[idx])
 
 
-def forward(model, observation: np.ndarray) -> np.ndarray:
-    """Q-values of a model for one observation or a batch."""
-    return model.forward(observation)
-
-
 def td_targets(variant: Algorithm, online, target, rewards: np.ndarray,
                next_obs: np.ndarray, dones: np.ndarray,
                discount: float) -> np.ndarray:
@@ -173,9 +168,6 @@ class DqnTrainer:
                                self.step_count, self.rng)
         self.step_count += 1
         return action
-
-    def greedy_action(self, obs: np.ndarray) -> int:
-        return int(np.argmax(self.online.forward(obs)))
 
     def push(self, obs, action, reward, next_obs, done) -> None:
         self.buffer.push(obs, action, reward, next_obs, done)

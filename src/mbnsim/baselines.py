@@ -173,11 +173,10 @@ def optimal_allocation(state: NetworkState,
                     if used[k, slot]:
                         continue
                     used[k, slot] = True
-                    alloc.beta[q, k, slot] = 1
+                    alloc.eurllc_k[q], alloc.eurllc_m[q] = k, slot
                     alloc.eurllc_host[q] = hosts[q, k]
                     descend(q + 1, partial + values[q, k])
-                    alloc.beta[q, k, slot] = 0
-                    alloc.eurllc_host[q] = -1
+                    alloc.eurllc_k[q] = alloc.eurllc_m[q] = alloc.eurllc_host[q] = -1
                     used[k, slot] = False
                     break  # mini-slots on one subchannel are interchangeable upward
             descend(q + 1, partial - pen_u)  # leave this user unserved
@@ -265,7 +264,7 @@ def enumerate_optimal(state: NetworkState,
                                            eurllc_ids[q], k)
                 if host < 0:
                     break
-                trial.beta[q, k, mm] = 1
+                trial.eurllc_k[q], trial.eurllc_m[q] = k, mm
                 trial.eurllc_host[q] = host
             else:
                 value = objective_breakdown(state, trial, weights).value

@@ -50,14 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_train(args) -> int:
-    spec = _spec_from_args(args, args.algo)
-    run_experiment(spec, args.out)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    spec = _spec_from_args(args, args.algo)
-    run_experiment(spec, args.out)
+    """`train` and `sweep`: run the experiment the arguments describe."""
+    run_experiment(_spec_from_args(args, args.algo), args.out)
     return 0
 
 
@@ -136,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("dqn", "double_dqn", "duel_dqn", "optimal"))
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", type=float, nargs="+", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_train)
 
     p_oracle = sub.add_parser("oracle", help="exact solve, no training")
     _add_common(p_oracle)

@@ -31,11 +31,12 @@ class AllocationError(ValueError):
 
 @dataclass
 class Allocation:
-    """FeMBB assignments plus the eURLLC mini-slot puncturing tensor.
+    """FeMBB and eURLLC assignments as per-user index arrays.
 
-    `beta[q, k, m]` marks eURLLC user q puncturing mini-slot m of subchannel
-    k; `eurllc_host[q]` records the base station resolved to host that
-    puncture. Unassigned entries are -1.
+    FeMBB user f transmits on subchannel `fembb_k[f]` of base station
+    `fembb_bs[f]`. eURLLC user q punctures mini-slot `eurllc_m[q]` of
+    subchannel `eurllc_k[q]`, hosted by base station `eurllc_host[q]`, so a
+    user holds at most one slot by construction. Unassigned entries are -1.
     """
 
     n_fembb: int
@@ -44,62 +45,52 @@ class Allocation:
     n_minislots: int
     fembb_bs: np.ndarray = field(default=None)
     fembb_k: np.ndarray = field(default=None)
-    beta: np.ndarray = field(default=None)
+    eurllc_k: np.ndarray = field(default=None)
+    eurllc_m: np.ndarray = field(default=None)
     eurllc_host: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.fembb_bs is None:
-            self.fembb_bs = np.full(self.n_fembb, -1, dtype=int)
-        if self.fembb_k is None:
-            self.fembb_k = np.full(self.n_fembb, -1, dtype=int)
-        if self.beta is None:
-            self.beta = np.zeros(
-                (self.n_eurllc, self.n_subchannels, self.n_minislots),
-                dtype=np.int8)
-        if self.eurllc_host is None:
-            self.eurllc_host = np.full(self.n_eurllc, -1, dtype=int)
+        for name, n in (("fembb_bs", self.n_fembb), ("fembb_k", self.n_fembb),
+                        ("eurllc_k", self.n_eurllc), ("eurllc_m", self.n_eurllc),
+                        ("eurllc_host", self.n_eurllc)):
+            if getattr(self, name) is None:
+                setattr(self, name, np.full(n, -1, dtype=int))
 
     def copy(self) -> "Allocation":
         return Allocation(self.n_fembb, self.n_eurllc, self.n_subchannels,
                           self.n_minislots, self.fembb_bs.copy(),
-                          self.fembb_k.copy(), self.beta.copy(),
-                          self.eurllc_host.copy())
+                          self.fembb_k.copy(), self.eurllc_k.copy(),
+                          self.eurllc_m.copy(), self.eurllc_host.copy())
 
     def validate(self) -> None:
-        assigned = self.fembb_bs >= 0
-        if not np.array_equal(assigned, self.fembb_k >= 0):
-            raise AllocationError("fembb_bs and fembb_k must agree on assignment")
-        pairs = {(int(b), int(k)) for b, k in
-                 zip(self.fembb_bs[assigned], self.fembb_k[assigned])}
-        if len(pairs) != int(assigned.sum()):
-            raise AllocationError("a (bs, subchannel) pair is assigned twice")
-        if self.beta.sum(axis=(1, 2)).max(initial=0) > 1:
-            raise AllocationError("an eURLLC user punctures more than one mini-slot")
-        if self.beta.sum(axis=0).max(initial=0) > 1:
-            raise AllocationError("a (subchannel, mini-slot) pair is punctured twice")
-        punctured = self.beta.sum(axis=(1, 2)) > 0
-        if not np.array_equal(punctured, self.eurllc_host >= 0):
+        _check_pairs(self.fembb_bs, self.fembb_k, "fembb_bs and fembb_k",
+                     "a (bs, subchannel) pair is assigned twice")
+        served = _check_pairs(self.eurllc_k, self.eurllc_m,
+                              "eurllc_k and eurllc_m",
+                              "a (subchannel, mini-slot) pair is punctured twice")
+        if not np.array_equal(served, self.eurllc_host >= 0):
             raise AllocationError("eurllc_host must be set exactly for puncturing users")
+        if (self.fembb_k.max(initial=-1) >= self.n_subchannels
+                or self.eurllc_k.max(initial=-1) >= self.n_subchannels):
+            raise AllocationError(f"a subchannel lies outside 0..{self.n_subchannels - 1}")
+        if self.eurllc_m.max(initial=-1) >= self.n_minislots:
+            raise AllocationError(f"a mini-slot lies outside 0..{self.n_minislots - 1}")
 
     def eurllc_slot(self, q: int) -> tuple[int, int] | None:
-        hits = np.argwhere(self.beta[q])
-        if len(hits) == 0:
+        if self.eurllc_k[q] < 0:
             return None
-        return int(hits[0][0]), int(hits[0][1])
+        return int(self.eurllc_k[q]), int(self.eurllc_m[q])
 
     def occupied(self, n_bs: int) -> np.ndarray:
         occ = np.zeros((n_bs, self.n_subchannels), dtype=bool)
-        for f in range(self.n_fembb):
-            if self.fembb_bs[f] >= 0:
-                occ[self.fembb_bs[f], self.fembb_k[f]] = True
+        assigned = self.fembb_bs >= 0
+        occ[self.fembb_bs[assigned], self.fembb_k[assigned]] = True
         return occ
 
     def puncture_counts(self, n_bs: int) -> np.ndarray:
         counts = np.zeros((n_bs, self.n_subchannels), dtype=int)
-        for q in range(self.n_eurllc):
-            slot = self.eurllc_slot(q)
-            if slot is not None:
-                counts[self.eurllc_host[q], slot[0]] += 1
+        served = self.eurllc_k >= 0
+        np.add.at(counts, (self.eurllc_host[served], self.eurllc_k[served]), 1)
         return counts
 
     def canonical_key(self) -> tuple:
@@ -107,19 +98,12 @@ class Allocation:
         f_part = tuple(
             (int(b), int(k), 0) if b >= 0 else _UNASSIGNED_KEY
             for b, k in zip(self.fembb_bs, self.fembb_k))
-        u_part = []
-        for q in range(self.n_eurllc):
-            slot = self.eurllc_slot(q)
-            u_part.append(_UNASSIGNED_KEY if slot is None
-                          else (slot[0], slot[1], int(self.eurllc_host[q])))
-        return f_part + tuple(u_part)
+        u_part = tuple(
+            (int(k), int(m), int(h)) if k >= 0 else _UNASSIGNED_KEY
+            for k, m, h in zip(self.eurllc_k, self.eurllc_m, self.eurllc_host))
+        return f_part + u_part
 
     def to_json(self) -> dict:
-        punctures = []
-        for q in range(self.n_eurllc):
-            slot = self.eurllc_slot(q)
-            punctures.append(None if slot is None
-                             else [slot[0], slot[1], int(self.eurllc_host[q])])
         return {
             "schema_version": ALLOCATION_SCHEMA_VERSION,
             "n_fembb": self.n_fembb,
@@ -128,7 +112,9 @@ class Allocation:
             "n_minislots": self.n_minislots,
             "fembb": [None if b < 0 else [int(b), int(k)]
                       for b, k in zip(self.fembb_bs, self.fembb_k)],
-            "punctures": punctures,
+            "punctures": [None if k < 0 else [int(k), int(m), int(h)]
+                          for k, m, h in zip(self.eurllc_k, self.eurllc_m,
+                                             self.eurllc_host)],
         }
 
     @classmethod
@@ -143,11 +129,22 @@ class Allocation:
                 alloc.fembb_bs[f], alloc.fembb_k[f] = entry
         for q, entry in enumerate(data["punctures"]):
             if entry is not None:
-                k, m, host = entry
-                alloc.beta[q, k, m] = 1
-                alloc.eurllc_host[q] = host
+                alloc.eurllc_k[q], alloc.eurllc_m[q], alloc.eurllc_host[q] = entry
         alloc.validate()
         return alloc
+
+
+def _check_pairs(first: np.ndarray, second: np.ndarray, names: str,
+                 duplicate: str) -> np.ndarray:
+    """Mask of assigned entries; both arrays must agree on assignment and no
+    (first, second) pair may repeat."""
+    assigned = first >= 0
+    if not np.array_equal(assigned, second >= 0):
+        raise AllocationError(f"{names} must agree on assignment")
+    pairs = set(zip(first[assigned].tolist(), second[assigned].tolist()))
+    if len(pairs) != int(assigned.sum()):
+        raise AllocationError(duplicate)
+    return assigned
 
 
 @dataclass(frozen=True)
@@ -284,11 +281,10 @@ def objective_breakdown(state: NetworkState, alloc: Allocation,
     eurllc_ok = np.zeros(n_u, dtype=bool)
     s_rel = 0.0
     for q, user in enumerate(eurllc_ids):
-        slot = alloc.eurllc_slot(q)
-        if slot is None:
+        k = int(alloc.eurllc_k[q])
+        if k < 0:
             s_rel -= penalty / max(n_u, 1)
             continue
-        k, _ = slot
         host = int(alloc.eurllc_host[q])
         gamma = link_gamma(state, active, user, host, k)
         if gamma <= 0:
@@ -439,8 +435,10 @@ class JnsaEnv:
             return np.concatenate([head, gains, occ])
         margin = min(1.0, -math.log10(state.qos.eurllc_max_error) / 20.0)
         head = np.array([1.0, margin])
-        punct = (self._alloc.beta.sum(axis=0) > 0).astype(float).ravel()
-        return np.concatenate([head, gains, occ, punct])
+        punct = np.zeros((state.n_subchannels, state.n_minislots))
+        served = self._alloc.eurllc_k >= 0
+        punct[self._alloc.eurllc_k[served], self._alloc.eurllc_m[served]] = 1.0
+        return np.concatenate([head, gains, occ, punct.ravel()])
 
     # -- transition ----------------------------------------------------------
 
@@ -493,14 +491,14 @@ class JnsaEnv:
             raise IndexError(f"eURLLC action {action} outside 0..{self.eurllc_action_count - 1}")
         k, m = divmod(action, state.n_minislots)
         q = self._local_index[user]
-        if self._alloc.beta[:, k, m].any():
+        if ((self._alloc.eurllc_k == k) & (self._alloc.eurllc_m == m)).any():
             return self._reject()
         host = resolve_eurllc_host(state, self._alloc.occupied(state.n_bs),
                                    user, k)
         if host < 0:
             return self._reject()
         candidate = self._alloc.copy()
-        candidate.beta[q, k, m] = 1
+        candidate.eurllc_k[q], candidate.eurllc_m[q] = k, m
         candidate.eurllc_host[q] = host
         br = objective_breakdown(state, candidate, self.objective_cfg)
         if not br.eurllc_ok[q]:

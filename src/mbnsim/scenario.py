@@ -195,9 +195,7 @@ def _gain_log_bounds(gains: np.ndarray, reachable: np.ndarray) -> tuple[float, f
     return lo, hi
 
 
-def generate_scenario(cfg: ScenarioConfig, n_fembb: int | None = None,
-                      n_eurllc: int | None = None,
-                      aerial_fraction: float | None = None,
+def generate_scenario(cfg: ScenarioConfig,
                       seed: int | None = None) -> NetworkState:
     """Draw a scenario: TBS positions, user positions, link gains.
 
@@ -206,13 +204,6 @@ def generate_scenario(cfg: ScenarioConfig, n_fembb: int | None = None,
     the coverage disc of a random TBS (hotspot placement), the rest uniformly
     in the cell. Bit-identical regeneration for a fixed (cfg, seed).
     """
-    n_fembb = cfg.n_fembb if n_fembb is None else n_fembb
-    n_eurllc = cfg.n_eurllc if n_eurllc is None else n_eurllc
-    aerial = cfg.aerial_fraction if aerial_fraction is None else aerial_fraction
-    if n_fembb < 0 or n_eurllc < 0:
-        raise ValueError("user counts must be >= 0")
-    if not 0.0 <= aerial <= 1.0:
-        raise ValueError("aerial_fraction must lie in [0, 1]")
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     channel = cfg.channel_params()
@@ -232,9 +223,9 @@ def generate_scenario(cfg: ScenarioConfig, n_fembb: int | None = None,
 
     users: list[UserProfile] = []
     uid = 0
-    for user_class, count in ((UserClass.FEMBB, n_fembb),
-                              (UserClass.EURLLC, n_eurllc)):
-        n_aerial = int(round(aerial * count))
+    for user_class, count in ((UserClass.FEMBB, cfg.n_fembb),
+                              (UserClass.EURLLC, cfg.n_eurllc)):
+        n_aerial = int(round(cfg.aerial_fraction * count))
         n_terr = count - n_aerial
         n_hot = int(round(cfg.hotspot_fraction * n_terr)) if tbs_list else 0
         for idx in range(count):

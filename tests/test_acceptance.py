@@ -31,6 +31,8 @@ from mbnsim.service import (FrameConfig, QosTargets, channel_dispersion,
                             decoding_error_probability, eurllc_feasible,
                             gaussian_q, punctured_rate, shannon_rate)
 
+pytestmark = pytest.mark.slow
+
 ACCEPT_SEEDS = (1, 2, 3, 4, 5)
 ACCEPT_EPISODES = 2000
 ACCEPT_TRAINER = TrainerConfig(hidden_sizes=(64, 64), learning_rate=5e-4)

@@ -57,7 +57,7 @@ class TestOracleCrossCheck:
         alloc, value = optimal_allocation(state,
                                           ScalarizedObjective.for_state(state))
         assert value == 0.0
-        assert alloc.beta.sum() == 0
+        assert (alloc.eurllc_k == -1).all()
         assert (alloc.fembb_bs == -1).all()
 
 

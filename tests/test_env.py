@@ -46,16 +46,15 @@ class TestAllocation:
 
     def test_double_puncture_rejected(self):
         alloc = Allocation(0, 2, 4, 3)
-        alloc.beta[0, 2, 1] = 1
-        alloc.beta[1, 2, 1] = 1
+        alloc.eurllc_k[:] = [2, 2]
+        alloc.eurllc_m[:] = [1, 1]
         alloc.eurllc_host[:] = [0, 0]
         with pytest.raises(AllocationError):
             alloc.validate()
 
-    def test_two_slots_per_user_rejected(self):
+    def test_slot_indices_must_agree(self):
         alloc = Allocation(0, 1, 4, 3)
-        alloc.beta[0, 0, 0] = 1
-        alloc.beta[0, 1, 0] = 1
+        alloc.eurllc_k[0] = 1
         alloc.eurllc_host[0] = 0
         with pytest.raises(AllocationError):
             alloc.validate()
@@ -69,13 +68,28 @@ class TestAllocation:
     def test_json_round_trip(self):
         alloc = Allocation(2, 2, 4, 3)
         alloc.fembb_bs[0], alloc.fembb_k[0] = 1, 3
-        alloc.beta[1, 2, 0] = 1
+        alloc.eurllc_k[1], alloc.eurllc_m[1] = 2, 0
         alloc.eurllc_host[1] = 0
+        assert alloc.to_json()["punctures"] == [None, [2, 0, 0]]
         back = Allocation.from_json(alloc.to_json())
         assert np.array_equal(back.fembb_bs, alloc.fembb_bs)
-        assert np.array_equal(back.beta, alloc.beta)
+        assert np.array_equal(back.eurllc_k, alloc.eurllc_k)
+        assert np.array_equal(back.eurllc_m, alloc.eurllc_m)
         assert np.array_equal(back.eurllc_host, alloc.eurllc_host)
         assert back.canonical_key() == alloc.canonical_key()
+
+    @pytest.mark.parametrize("fembb, puncture", [
+        ([0, 1], [-1, 0, 0]),
+        ([0, 1], [4, 0, 0]),
+        ([0, 1], [0, 3, 0]),
+        ([0, 9], [0, 0, 0]),
+    ], ids=["negative_subchannel", "subchannel_past_c", "minislot_past_m",
+            "fembb_subchannel_past_c"])
+    def test_from_json_rejects_out_of_range_indices(self, fembb, puncture):
+        data = Allocation(1, 1, 4, 3).to_json()
+        data["fembb"], data["punctures"] = [fembb], [puncture]
+        with pytest.raises(AllocationError):
+            Allocation.from_json(data)
 
 
 class TestObjective:
@@ -93,7 +107,7 @@ class TestObjective:
                                       reliability_scale=1.0)
         alloc = Allocation(1, 1, state.n_subchannels, state.n_minislots)
         alloc.fembb_bs[0], alloc.fembb_k[0] = 0, 0
-        alloc.beta[0, 0, 1] = 1
+        alloc.eurllc_k[0], alloc.eurllc_m[0] = 0, 1
         alloc.eurllc_host[0] = 0
 
         # independent recomputation from the service-layer formulas
@@ -138,9 +152,9 @@ class TestObjective:
         base = Allocation(1, 2, state.n_subchannels, state.n_minislots)
         base.fembb_bs[0], base.fembb_k[0] = 0, 0
         punctured = base.copy()
-        punctured.beta[0, 1, 0] = 1   # free subchannel 1
+        punctured.eurllc_k[0], punctured.eurllc_m[0] = 1, 0   # free subchannel 1
         punctured.eurllc_host[0] = 0
-        punctured.beta[1, 2, 2] = 1   # free subchannel 2
+        punctured.eurllc_k[1], punctured.eurllc_m[1] = 2, 2   # free subchannel 2
         punctured.eurllc_host[1] = 0
         assert objective(state, punctured, weights) == objective(
             state, base, weights)
@@ -287,7 +301,7 @@ class TestEnvStep:
         assert not eurllc_feasible(state.frame_rf, gamma, state.qos)
         _, reward, _ = env.step(0)
         assert reward == -env.conflict_penalty
-        assert env.allocation.beta.sum() == 0
+        assert (env.allocation.eurllc_k == -1).all()
 
     def test_done_after_all_agents(self):
         env = JnsaEnv(make_state(), seed=5)
@@ -330,7 +344,7 @@ class TestEnvStep:
             # committed eURLLC users are feasible by construction
             br = objective_breakdown(env.state, env.allocation,
                                      env.objective_cfg)
-            served = env.allocation.beta.sum(axis=(1, 2)) > 0
+            served = env.allocation.eurllc_k >= 0
             assert br.eurllc_ok[served].all()
 
     def test_observation_bounds_and_dims(self):
@@ -347,6 +361,24 @@ class TestEnvStep:
             assert (obs >= 0).all() and (obs <= 1).all()
             env.step(0)
 
+    def test_eurllc_observation_marks_punctured_slots(self):
+        env = JnsaEnv(make_state(seed=77), seed=11)
+        rng = np.random.default_rng(2)
+        c, m = env.state.n_subchannels, env.state.n_minislots
+        for _ in range(5):
+            env.reset()
+            while not env.done:
+                user = env.current_agent
+                if env.user_class(user) is UserClass.EURLLC:
+                    alloc = env.allocation
+                    expected = np.zeros((c, m))
+                    for q in range(alloc.n_eurllc):
+                        if alloc.eurllc_slot(q) is not None:
+                            expected[alloc.eurllc_slot(q)] = 1.0
+                    assert np.array_equal(env.observe(user)[-c * m:],
+                                          expected.ravel())
+                env.step(int(rng.integers(env.action_count_for(user))))
+
     def test_empty_scenario_reset_is_done(self):
         env = JnsaEnv(make_state(n_fembb=0, n_eurllc=0), seed=1)
         env.reset()
@@ -358,7 +390,7 @@ class TestAttachServing:
         state = make_state()
         alloc = Allocation(4, 4, state.n_subchannels, state.n_minislots)
         alloc.fembb_bs[0], alloc.fembb_k[0] = 2, 1
-        alloc.beta[1, 0, 0] = 1
+        alloc.eurllc_k[1], alloc.eurllc_m[1] = 0, 0
         alloc.eurllc_host[1] = 0
         attach_serving(state, alloc)
         assert state.serving_bs[state.fembb_users[0]] == 2
