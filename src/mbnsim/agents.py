@@ -81,8 +81,10 @@ class ReplayBuffer:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.next_obs = np.zeros((capacity, obs_dim))
+        # rows at or past `size` are never read, so the large observation
+        # rings are left unfilled rather than zeroed
+        self.obs = np.empty((capacity, obs_dim))
+        self.next_obs = np.empty((capacity, obs_dim))
         self.actions = np.zeros(capacity, dtype=int)
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity, dtype=bool)
@@ -125,16 +127,6 @@ def td_targets(variant: Algorithm, online, target, rewards: np.ndarray,
     return rewards + discount * boot * (~dones)
 
 
-def td_target(variant: Algorithm, online, target, transition,
-              discount: float) -> float:
-    """Single-transition TD target; transition = (obs, a, r, next_obs, done)."""
-    _, _, reward, next_obs, done = transition
-    out = td_targets(variant, online, target, np.array([reward]),
-                     np.asarray(next_obs)[None, :], np.array([done]),
-                     discount)
-    return float(out[0])
-
-
 def select_action(model, observation: np.ndarray,
                   schedule: ExplorationSchedule, step_count: int,
                   rng: np.random.Generator) -> int:
@@ -161,7 +153,7 @@ class DqnTrainer:
         self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
         self.step_count = 0      # action selections, drives epsilon
         self.train_count = 0     # gradient steps, drives target syncs
-        self.optimizer = AdamOptimizer(self.online.params, cfg.learning_rate)
+        self.optimizer = AdamOptimizer([self.online.flat], cfg.learning_rate)
 
     def select_action(self, obs: np.ndarray) -> int:
         action = select_action(self.online, obs, self.schedule,
@@ -188,9 +180,9 @@ class DqnTrainer:
         loss = float(np.mean(td_err ** 2))
         dq = np.zeros_like(q)
         dq[rows, actions] = 2.0 * td_err / len(actions)
-        grads = clip_gradients(self.online.backward(cache, dq),
-                               self.cfg.grad_clip)
-        self.optimizer.step(self.online.params, grads)
+        grad = clip_gradients(self.online.backward(cache, dq),
+                              self.cfg.grad_clip)
+        self.optimizer.step([self.online.flat], [grad])
         self.train_count += 1
         if self.train_count % self.cfg.target_sync_period == 0:
             self.target.load_params_from(self.online)

@@ -13,6 +13,8 @@ file; unknown keys are rejected. Example file::
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +66,22 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name, is_int in _FIELD_IS_INT.items():
+            value = getattr(self, name)
+            # exact-type fast paths: a config is rebuilt for every scenario
+            kind = type(value)
+            if kind is int:
+                continue
+            if kind is not float and (isinstance(value, bool) or
+                                      not isinstance(value, numbers.Real)):
+                raise ConfigError(f"field {name} must be numeric, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"field {name} must be finite, got {value!r}")
+            if is_int:
+                if value != int(value):
+                    raise ConfigError(
+                        f"field {name} must be an integer, got {value!r}")
+                setattr(self, name, int(value))
         if self.n_tbs < 0 or self.n_fembb < 0 or self.n_eurllc < 0:
             raise ConfigError("n_tbs/n_fembb/n_eurllc must be >= 0")
         if not 0.0 <= self.aerial_fraction <= 1.0:
@@ -131,6 +149,11 @@ class ScenarioConfig:
         )
 
 
+# field name -> whether the field holds a count or seed (an int)
+_FIELD_IS_INT = {f.name: isinstance(f.default, int)
+                 for f in dataclasses.fields(ScenarioConfig)}
+
+
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """Parse a flat YAML mapping into a ScenarioConfig; never mutates the file."""
     text = Path(path).read_text()
@@ -142,15 +165,10 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a flat key-value mapping")
-    valid = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in valid:
+    for key in data:
+        if key not in _FIELD_IS_INT:
             raise ConfigError(f"unknown config field: {key}")
-        if not isinstance(value, (int, float, bool)):
-            raise ConfigError(f"field {key} must be numeric, got {value!r}")
-        kwargs[key] = value
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**data)
 
 
 def save_scenario_config(cfg: ScenarioConfig, path: str | Path) -> None:

@@ -124,6 +124,11 @@ class Allocation:
                 f"unsupported allocation schema: {data.get('schema_version')}")
         alloc = cls(data["n_fembb"], data["n_eurllc"], data["n_subchannels"],
                     data["n_minislots"])
+        for key, n_users in (("fembb", alloc.n_fembb),
+                             ("punctures", alloc.n_eurllc)):
+            if len(data[key]) != n_users:
+                raise AllocationError(f"{key} lists {len(data[key])} entries "
+                                      f"for {n_users} users")
         for f, entry in enumerate(data["fembb"]):
             if entry is not None:
                 alloc.fembb_bs[f], alloc.fembb_k[f] = entry

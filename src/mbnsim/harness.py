@@ -88,6 +88,8 @@ class ExperimentSpec:
                                   f"got {self.sweep_param!r}")
             if not self.sweep_values:
                 raise ConfigError("sweep_values must be non-empty")
+            for value in self.sweep_values:
+                self.scenario.replace(**{self.sweep_param: value})
         if self.eval_episodes <= 0:
             raise ConfigError("eval_episodes must be > 0")
         if self.train_every <= 0:
@@ -184,6 +186,18 @@ def train_policies(env: JnsaEnv, algorithm: Algorithm, episodes: int,
                                    schedule)
 
     pushes = {UserClass.FEMBB: 0, UserClass.EURLLC: 0}
+
+    def push_and_train(cls: UserClass, transition: tuple, next_obs,
+                       done: bool) -> None:
+        """Store (obs, action, reward) + next_obs; train every `train_every`
+        pushes of the class once its buffer holds a batch."""
+        trainer = trainers[cls]
+        trainer.push(*transition, next_obs, done)
+        pushes[cls] += 1
+        if (pushes[cls] % train_every == 0
+                and len(trainer.buffer) >= trainer.cfg.batch_size):
+            trainer.train_step()
+
     episode_rewards: list[float] = []
     for _ in range(episodes):
         env.reset()
@@ -193,27 +207,17 @@ def train_policies(env: JnsaEnv, algorithm: Algorithm, episodes: int,
         while not env.done:
             user = env.current_agent
             cls = env.user_class(user)
-            trainer = trainers[cls]
             obs = env.observe(user)
             if pending[cls] is not None:
-                p_obs, p_act, p_rew = pending[cls]
-                trainer.push(p_obs, p_act, p_rew, obs, False)
-                pushes[cls] += 1
-                if (pushes[cls] % train_every == 0
-                        and len(trainer.buffer) >= trainer.cfg.batch_size):
-                    trainer.train_step()
-            action = trainer.select_action(obs)
+                push_and_train(cls, pending[cls], obs, False)
+            action = trainers[cls].select_action(obs)
             _, reward, _ = env.step(action)
             total += reward
             pending[cls] = (obs, action, reward)
         for cls, trainer in trainers.items():
             if trainer is not None and pending[cls] is not None:
-                p_obs, p_act, p_rew = pending[cls]
-                trainer.push(p_obs, p_act, p_rew, np.zeros_like(p_obs), True)
-                pushes[cls] += 1
-                if (pushes[cls] % train_every == 0
-                        and len(trainer.buffer) >= trainer.cfg.batch_size):
-                    trainer.train_step()
+                push_and_train(cls, pending[cls],
+                               np.zeros_like(pending[cls][0]), True)
         episode_rewards.append(total)
     return trainers[UserClass.FEMBB], trainers[UserClass.EURLLC], episode_rewards
 
@@ -287,7 +291,6 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
                      fembb_model=None, eurllc_model=None,
                      noise_seeds: int = 24, noise_seed_base: int = 7000,
                      mobility_speed_mps: float = 2.0,
-                     csi_mode: str = "verbatim",
                      conflict_penalty: float = 1.0) -> list[dict]:
     """FeMBB total rate under CSI noise or mobility, one row per value.
 
@@ -321,8 +324,7 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
     for value in values:
         if perturbation == "csi":
             samples = [rate_on(perturb_csi(base, value,
-                                           seed=noise_seed_base + rep,
-                                           mode=csi_mode))
+                                           seed=noise_seed_base + rep))
                        for rep in range(noise_seeds)]
         else:
             moved = base
@@ -455,8 +457,7 @@ def run_experiment(spec: ExperimentSpec,
         for sweep_param, sweep_value in cells:
             cfg = spec.scenario
             if sweep_param:
-                field_type = type(getattr(cfg, sweep_param))
-                cfg = cfg.replace(**{sweep_param: field_type(sweep_value)})
+                cfg = cfg.replace(**{sweep_param: sweep_value})
             for seed in spec.seeds:
                 run_id = f"run{index:04d}"
                 index += 1

@@ -7,6 +7,7 @@ for a fixed seed, which the training-reproducibility contract relies on.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -19,76 +20,104 @@ class CheckpointError(ValueError):
     """Checkpoint content does not match the declared architecture."""
 
 
-def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int):
-    # He-style scaling for rectified-linear hiddens
-    w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-    b = np.zeros(fan_out)
-    return w, b
+class _Network:
+    """Parameters live in one contiguous float64 vector `flat`; `params` is
+    the list of per-layer weight/bias views into it (w0, b0, w1, b1, ...).
+    Subclasses give their (fan_in, fan_out) layers in `_layer_shapes` and
+    their output head in `forward` and `backward`."""
 
-
-class QNetwork:
-    """Plain value network: ReLU hidden layers, linear output head."""
-
-    kind = "plain"
+    kind: str
 
     def __init__(self, input_dim: int, hidden_sizes: tuple[int, ...],
                  action_count: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_sizes = tuple(hidden_sizes)
         self.action_count = action_count
-        sizes = [input_dim, *hidden_sizes, action_count]
-        self.params: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w, b = _init_layer(rng, fan_in, fan_out)
-            self.params += [w, b]
+        self._bind(np.zeros(sum((fan_in + 1) * fan_out
+                                for fan_in, fan_out in self._layer_shapes())))
+        for w in self.params[::2]:
+            # He-style scaling for rectified-linear hiddens; biases stay 0
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+
+    def _views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-layer weight/bias views into a vector laid out like `flat`."""
+        views, offset = [], 0
+        for fan_in, fan_out in self._layer_shapes():
+            views.append(vec[offset:offset + fan_in * fan_out]
+                         .reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            views.append(vec[offset:offset + fan_out])
+            offset += fan_out
+        return views
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self.params = self._views(flat)
+
+    def clone(self):
+        new = copy.copy(self)
+        new._bind(self.flat.copy())
+        return new
+
+    def load_params_from(self, other: "_Network") -> None:
+        # in place: rebinding `flat` would cut the `params` views off from it
+        self.flat[...] = other.flat
+
+    def _hidden_forward(self, x: np.ndarray, cache: list | None) -> np.ndarray:
+        """ReLU hidden layers on a batch. The cache gets (input, pre-activation)
+        per hidden layer, then the head's input."""
+        if x.shape[1] != self.input_dim:
+            raise ValueError(f"observation dim {x.shape[1]} != {self.input_dim}")
+        h = x
+        for layer in range(len(self.hidden_sizes)):
+            z = h @ self.params[2 * layer] + self.params[2 * layer + 1]
+            if cache is not None:
+                cache.append((h, z))
+            h = np.maximum(z, 0.0)
+        if cache is not None:
+            cache.append(h)
+        return h
+
+    def _hidden_backward(self, cache: list, grad: np.ndarray,
+                         grad_views: list[np.ndarray]) -> None:
+        """Back-propagate dloss/d(head input) through the hidden layers,
+        writing their gradients into `grad_views`."""
+        for layer in reversed(range(len(self.hidden_sizes))):
+            h_in, z = cache[layer]
+            grad = grad * (z > 0.0)
+            np.matmul(h_in.T, grad, out=grad_views[2 * layer])
+            grad.sum(axis=0, out=grad_views[2 * layer + 1])
+            if layer > 0:
+                grad = grad @ self.params[2 * layer].T
+
+
+class QNetwork(_Network):
+    """Plain value network: ReLU hidden layers, linear output head."""
+
+    kind = "plain"
+
+    def _layer_shapes(self) -> list[tuple[int, int]]:
+        sizes = [self.input_dim, *self.hidden_sizes, self.action_count]
+        return list(zip(sizes[:-1], sizes[1:]))
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
         if x.ndim == 1:
             return self.forward(x[None, :], cache)[0]
-        if x.shape[1] != self.input_dim:
-            raise ValueError(f"observation dim {x.shape[1]} != {self.input_dim}")
-        h = x
-        n_layers = len(self.params) // 2
-        for layer in range(n_layers):
-            w, b = self.params[2 * layer], self.params[2 * layer + 1]
-            z = h @ w + b
-            if layer < n_layers - 1:
-                if cache is not None:
-                    cache.append((h, z))
-                h = np.maximum(z, 0.0)
-            else:
-                if cache is not None:
-                    cache.append((h, z))
-                h = z
-        return h
+        h = self._hidden_forward(x, cache)
+        return h @ self.params[-2] + self.params[-1]
 
-    def backward(self, cache: list, dq: np.ndarray) -> list[np.ndarray]:
-        """Gradients of a scalar loss given dloss/dQ, in `params` order."""
-        grads = [None] * len(self.params)
-        n_layers = len(self.params) // 2
-        grad = dq
-        for layer in reversed(range(n_layers)):
-            h_in, z = cache[layer]
-            if layer < n_layers - 1:
-                grad = grad * (z > 0.0)
-            grads[2 * layer] = h_in.T @ grad
-            grads[2 * layer + 1] = grad.sum(axis=0)
-            grad = grad @ self.params[2 * layer].T
-        return grads
-
-    def clone(self) -> "QNetwork":
-        new = object.__new__(QNetwork)
-        new.input_dim = self.input_dim
-        new.hidden_sizes = self.hidden_sizes
-        new.action_count = self.action_count
-        new.params = [p.copy() for p in self.params]
-        return new
-
-    def load_params_from(self, other: "QNetwork") -> None:
-        self.params = [p.copy() for p in other.params]
+    def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`."""
+        grad = np.empty_like(self.flat)
+        views = self._views(grad)
+        h = cache[-1]
+        np.matmul(h.T, dq, out=views[-2])
+        dq.sum(axis=0, out=views[-1])
+        self._hidden_backward(cache, dq @ self.params[-2].T, views)
+        return grad
 
 
-class DuelingQNetwork:
+class DuelingQNetwork(_Network):
     """Shared ReLU trunk splitting into a scalar value head and a per-action
     advantage head; Q(s,a) = V(s) + A(s,a) - mean_a A(s,a), so the mean Q
     over actions equals V exactly. Head parameter count stays close to the
@@ -96,75 +125,36 @@ class DuelingQNetwork:
 
     kind = "dueling"
 
-    def __init__(self, input_dim: int, hidden_sizes: tuple[int, ...],
-                 action_count: int, rng: np.random.Generator):
-        if not hidden_sizes:
+    def _layer_shapes(self) -> list[tuple[int, int]]:
+        if not self.hidden_sizes:
             raise ValueError("dueling head needs >= 1 hidden size")
-        self.input_dim = input_dim
-        self.hidden_sizes = tuple(hidden_sizes)
-        self.action_count = action_count
-        self.params: list[np.ndarray] = []
-        sizes = [input_dim, *hidden_sizes]
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w, b = _init_layer(rng, fan_in, fan_out)
-            self.params += [w, b]
-        wv, bv = _init_layer(rng, sizes[-1], 1)
-        wa, ba = _init_layer(rng, sizes[-1], action_count)
-        self.params += [wv, bv, wa, ba]
-
-    @property
-    def _n_trunk(self) -> int:
-        return len(self.hidden_sizes)
+        sizes = [self.input_dim, *self.hidden_sizes]
+        return [*zip(sizes[:-1], sizes[1:]), (sizes[-1], 1),
+                (sizes[-1], self.action_count)]
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
         if x.ndim == 1:
             return self.forward(x[None, :], cache)[0]
-        if x.shape[1] != self.input_dim:
-            raise ValueError(f"observation dim {x.shape[1]} != {self.input_dim}")
-        h = x
-        pre = []
-        for layer in range(self._n_trunk):
-            w, b = self.params[2 * layer], self.params[2 * layer + 1]
-            z = h @ w + b
-            pre.append((h, z))
-            h = np.maximum(z, 0.0)
+        h = self._hidden_forward(x, cache)
         wv, bv, wa, ba = self.params[-4:]
         v = h @ wv + bv                          # (B, 1)
         a = h @ wa + ba                          # (B, A)
-        q = v + a - a.mean(axis=1, keepdims=True)
-        if cache is not None:
-            cache.append((pre, h))
-        return q
+        return v + a - a.mean(axis=1, keepdims=True)
 
-    def backward(self, cache: list, dq: np.ndarray) -> list[np.ndarray]:
-        pre, h = cache[0]
-        wv, bv, wa, ba = self.params[-4:]
+    def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`."""
+        grad = np.empty_like(self.flat)
+        views = self._views(grad)
+        h = cache[-1]
+        wv, _, wa, _ = self.params[-4:]
         dv = dq.sum(axis=1, keepdims=True)       # (B, 1)
         da = dq - dq.mean(axis=1, keepdims=True)
-        d_wv = h.T @ dv
-        d_bv = dv.sum(axis=0)
-        d_wa = h.T @ da
-        d_ba = da.sum(axis=0)
-        grad = dv @ wv.T + da @ wa.T
-        grads = [None] * (2 * self._n_trunk)
-        for layer in reversed(range(self._n_trunk)):
-            h_in, z = pre[layer]
-            grad = grad * (z > 0.0)
-            grads[2 * layer] = h_in.T @ grad
-            grads[2 * layer + 1] = grad.sum(axis=0)
-            grad = grad @ self.params[2 * layer].T
-        return grads + [d_wv, d_bv, d_wa, d_ba]
-
-    def clone(self) -> "DuelingQNetwork":
-        new = object.__new__(DuelingQNetwork)
-        new.input_dim = self.input_dim
-        new.hidden_sizes = self.hidden_sizes
-        new.action_count = self.action_count
-        new.params = [p.copy() for p in self.params]
-        return new
-
-    def load_params_from(self, other: "DuelingQNetwork") -> None:
-        self.params = [p.copy() for p in other.params]
+        np.matmul(h.T, dv, out=views[-4])
+        dv.sum(axis=0, out=views[-3])
+        np.matmul(h.T, da, out=views[-2])
+        da.sum(axis=0, out=views[-1])
+        self._hidden_backward(cache, dv @ wv.T + da @ wa.T, views)
+        return grad
 
 
 def build_network(kind: str, input_dim: int, hidden_sizes, action_count: int,
@@ -176,25 +166,19 @@ def build_network(kind: str, input_dim: int, hidden_sizes, action_count: int,
 
 
 def get_flat(model) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in model.params])
+    return model.flat.copy()
 
 
 def set_flat(model, flat: np.ndarray) -> None:
-    offset = 0
-    for p in model.params:
-        p[...] = flat[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
-    if offset != flat.size:
-        raise ValueError("flat vector size does not match parameter count")
+    model.flat[...] = np.reshape(flat, model.flat.shape)
 
 
-def clip_gradients(grads: list[np.ndarray], bound: float) -> list[np.ndarray]:
-    """Scale the whole gradient so its global L2 norm is at most `bound`."""
-    norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
+    """Scale the gradient so its L2 norm is at most `bound`."""
+    norm = float(np.sqrt((grad * grad).sum()))
     if norm <= bound or norm == 0.0:
-        return grads
-    scale = bound / norm
-    return [g * scale for g in grads]
+        return grad
+    return grad * (bound / norm)
 
 
 class AdamOptimizer:
@@ -245,18 +229,23 @@ def model_from_checkpoint(data: dict):
     if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format: {data.get('format_version')}")
-    model = build_network(data["kind"], data["input_dim"],
-                          data["hidden_sizes"], data["action_count"],
-                          np.random.default_rng(0))
-    arrays = data["arrays"]
+    try:
+        model = build_network(data["kind"], data["input_dim"],
+                              data["hidden_sizes"], data["action_count"],
+                              np.random.default_rng(0))
+        arrays = [(entry["shape"], entry["data"]) for entry in data["arrays"]]
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint lacks key {exc}") from exc
     if len(arrays) != len(model.params):
         raise CheckpointError(
             f"expected {len(model.params)} arrays, got {len(arrays)}")
-    for p, entry in zip(model.params, arrays):
-        if tuple(entry["shape"]) != p.shape:
+    for p, (shape, values) in zip(model.params, arrays):
+        if tuple(shape) != p.shape:
             raise CheckpointError(
-                f"array shape {entry['shape']} does not match {list(p.shape)}")
-        p[...] = np.array(entry["data"], dtype=float).reshape(p.shape)
+                f"array shape {shape} does not match {list(p.shape)}")
+        p[...] = np.array(values, dtype=float).reshape(p.shape)
+    if not np.isfinite(model.flat).all():
+        raise CheckpointError("checkpoint holds a non-finite weight")
     return model
 
 

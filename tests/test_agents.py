@@ -1,5 +1,7 @@
 """Networks, gradients, TD targets, replay, exploration, and determinism."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from scipy import stats
 
 from mbnsim.agents import (Algorithm, DqnTrainer, ExplorationSchedule,
                            ReplayBuffer, TrainerConfig, select_action,
-                           td_target, td_targets)
+                           td_targets)
 from mbnsim.nets import (CheckpointError, DuelingQNetwork, QNetwork,
-                         build_network, checkpoint_dict, get_flat,
+                         build_network, checkpoint_dict, clip_gradients,
+                         get_flat,
                          load_checkpoint, model_from_checkpoint,
                          save_checkpoint, set_flat)
 
@@ -114,21 +117,29 @@ class TestForward:
         assert np.array_equal(model.forward(x), model.forward(x))
 
 
+def one_td_target(variant, online, target, reward, next_obs, done):
+    """td_targets on a one-row batch at discount 0.9."""
+    out = td_targets(variant, online, target, np.array([reward]),
+                     np.asarray(next_obs)[None, :], np.array([done]), 0.9)
+    return float(out[0])
+
+
 class TestTdTargets:
     def test_done_transition_is_reward(self):
         for algo in Algorithm:
             online = build_network(algo.network_kind, 6, (8, 8), 4,
                                    np.random.default_rng(0))
             target = online.clone()
-            transition = (np.ones(6), 2, 1.75, np.zeros(6), True)
-            assert td_target(algo, online, target, transition, 0.9) == 1.75
+            assert one_td_target(algo, online, target, 1.75, np.zeros(6),
+                                 True) == 1.75
 
     def test_identical_networks_make_variants_agree(self):
         online = small_plain(seed=2)
         target = online.clone()
-        transition = (np.ones(6), 0, 0.3, np.full(6, 0.2), False)
-        dqn = td_target(Algorithm.DQN, online, target, transition, 0.9)
-        ddqn = td_target(Algorithm.DOUBLE_DQN, online, target, transition, 0.9)
+        next_obs = np.full(6, 0.2)
+        dqn = one_td_target(Algorithm.DQN, online, target, 0.3, next_obs, False)
+        ddqn = one_td_target(Algorithm.DOUBLE_DQN, online, target, 0.3,
+                             next_obs, False)
         assert dqn == pytest.approx(ddqn, abs=1e-12)
 
     def test_disagreeing_argmax_lowers_double_target(self):
@@ -139,9 +150,10 @@ class TestTdTargets:
             for p in model.params:
                 p[...] = 0.0
             model.params[-1][...] = out_bias
-        transition = (np.zeros(2), 0, 0.0, np.zeros(2), False)
-        dqn = td_target(Algorithm.DQN, online, target, transition, 0.9)
-        ddqn = td_target(Algorithm.DOUBLE_DQN, online, target, transition, 0.9)
+        dqn = one_td_target(Algorithm.DQN, online, target, 0.0, np.zeros(2),
+                            False)
+        ddqn = one_td_target(Algorithm.DOUBLE_DQN, online, target, 0.0,
+                             np.zeros(2), False)
         assert dqn == pytest.approx(0.9)   # max of target = 1
         assert ddqn == pytest.approx(0.0)  # target value of online argmax
         assert ddqn < dqn
@@ -363,6 +375,43 @@ class TestTrainer:
         assert not np.array_equal(weights_a, weights_c)
 
 
+class TestFlatLayout:
+    @pytest.mark.parametrize("make", [small_plain, small_dueling])
+    def test_params_are_views_into_flat(self, make):
+        model = make(seed=4)
+        assert all(np.shares_memory(p, model.flat) for p in model.params)
+        assert sum(p.size for p in model.params) == model.flat.size
+        assert np.array_equal(model.flat,
+                              np.concatenate([p.ravel() for p in model.params]))
+
+    @pytest.mark.parametrize("make", [small_plain, small_dueling])
+    def test_target_sync_copies_into_own_flat(self, make):
+        online, target = make(seed=1), make(seed=2)
+        target.load_params_from(online)
+        assert np.array_equal(target.flat, online.flat)
+        assert all(np.shares_memory(p, target.flat) for p in target.params)
+        assert not np.shares_memory(target.flat, online.flat)
+        synced = [p.copy() for p in target.params]
+        online.flat += 1.0
+        assert all(np.array_equal(p, q) for p, q in zip(target.params, synced))
+
+    def test_clip_below_bound_is_identity(self):
+        grad = np.array([3.0, 4.0])
+        assert clip_gradients(grad, 5.0) is grad
+        assert clip_gradients(grad, 10.0) is grad
+
+    def test_clip_above_bound_rescales_to_bound(self):
+        grad = np.array([3.0, 4.0, 0.0])
+        clipped = clip_gradients(grad, 1.0)
+        assert np.linalg.norm(clipped) == pytest.approx(1.0)
+        assert np.allclose(clipped, [0.6, 0.8, 0.0])
+        assert np.array_equal(grad, [3.0, 4.0, 0.0])
+
+    def test_clip_zero_gradient_is_unchanged(self):
+        grad = np.zeros(4)
+        assert np.array_equal(clip_gradients(grad, 1.0), np.zeros(4))
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
         model = small_dueling(seed=13)
@@ -377,6 +426,22 @@ class TestCheckpoints:
         data["arrays"][0]["shape"] = [7, 8]
         with pytest.raises(CheckpointError):
             model_from_checkpoint(data)
+
+    @pytest.mark.parametrize("key", ["arrays", "kind", "shape", "data"])
+    def test_missing_key_rejected(self, key):
+        data = checkpoint_dict(small_plain(seed=1))
+        del (data if key in data else data["arrays"][0])[key]
+        with pytest.raises(CheckpointError, match=key):
+            model_from_checkpoint(data)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        data = checkpoint_dict(small_dueling(seed=1))
+        data["arrays"][-2]["data"][3] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
 
     def test_wrong_version_rejected(self):
         data = checkpoint_dict(small_plain(seed=1))

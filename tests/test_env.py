@@ -78,16 +78,18 @@ class TestAllocation:
         assert np.array_equal(back.eurllc_host, alloc.eurllc_host)
         assert back.canonical_key() == alloc.canonical_key()
 
-    @pytest.mark.parametrize("fembb, puncture", [
-        ([0, 1], [-1, 0, 0]),
-        ([0, 1], [4, 0, 0]),
-        ([0, 1], [0, 3, 0]),
-        ([0, 9], [0, 0, 0]),
+    @pytest.mark.parametrize("fembb, punctures", [
+        ([[0, 1]], [[-1, 0, 0]]),
+        ([[0, 1]], [[4, 0, 0]]),
+        ([[0, 1]], [[0, 3, 0]]),
+        ([[0, 9]], [[0, 0, 0]]),
+        ([], []),
+        ([[0, 1]], [[0, 0, 0], [1, 0, 0]]),
     ], ids=["negative_subchannel", "subchannel_past_c", "minislot_past_m",
-            "fembb_subchannel_past_c"])
-    def test_from_json_rejects_out_of_range_indices(self, fembb, puncture):
+            "fembb_subchannel_past_c", "empty_lists", "two_punctures_one_user"])
+    def test_from_json_rejects_out_of_range_indices(self, fembb, punctures):
         data = Allocation(1, 1, 4, 3).to_json()
-        data["fembb"], data["punctures"] = [fembb], [puncture]
+        data["fembb"], data["punctures"] = fembb, punctures
         with pytest.raises(AllocationError):
             Allocation.from_json(data)
 

@@ -16,6 +16,7 @@ from mbnsim.env import JnsaEnv, ScalarizedObjective
 from mbnsim.harness import (ExperimentSpec, build_variant_state,
                             convergence_metric, derived_seed, read_runs_csv,
                             robustness_sweep, run_experiment, summarize)
+from mbnsim.nets import QNetwork, checkpoint_dict
 from mbnsim.scenario import generate_scenario
 
 TINY_TRAINER = TrainerConfig(hidden_sizes=(16, 16), batch_size=16,
@@ -333,6 +334,39 @@ class TestCli:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("yaml_text, extra", [
+        ("cell_radius_m: .nan\n", []),
+        ("block_duration_s: .inf\n", []),
+        ("n_tbs: 2.5\n", []),
+        ("minislots_per_subchannel: true\n", []),
+        ("", ["--param", "n_fembb", "--values", "2.7"]),
+    ], ids=["nan_float", "inf_float", "fractional_int", "bool_int",
+            "fractional_sweep_value"])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, yaml_text,
+                                        extra):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml_text)
+        command = ["sweep", "--algo", "optimal"] if extra else ["oracle"]
+        rc = cli.main([*command, "--config", str(path), "--seed", "1",
+                       *extra, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_without_arrays_exit_code(self, tmp_path, capsys):
+        data = checkpoint_dict(QNetwork(4, (8,), 3, np.random.default_rng(0)))
+        del data["arrays"]
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(data))
+        rc = cli.main(["evaluate", "--config", str(self._write_cfg(tmp_path)),
+                       "--checkpoint-fembb", str(ckpt),
+                       "--checkpoint-eurllc", str(ckpt),
+                       "--perturbation", "mobility", "--values", "0",
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint lacks")
 
 
 class TestConfigFile:
