@@ -77,22 +77,16 @@ def cmd_evaluate(args) -> int:
 
     if args.use_oracle:
         from .baselines import optimal_allocation
-        alloc, _ = optimal_allocation(state, objective_cfg)
-        rows = robustness_sweep(state, objective_cfg, args.perturbation,
-                                args.values, allocation=alloc,
-                                noise_seeds=args.noise_seeds,
-                                mobility_speed_mps=args.speed)
+        decider = {"allocation": optimal_allocation(state, objective_cfg)[0]}
     else:
         if not (args.checkpoint_fembb and args.checkpoint_eurllc):
             raise ConfigError("evaluate needs --use-oracle or both "
                               "--checkpoint-fembb and --checkpoint-eurllc")
-        fembb = load_checkpoint(args.checkpoint_fembb)
-        eurllc = load_checkpoint(args.checkpoint_eurllc)
-        rows = robustness_sweep(state, objective_cfg, args.perturbation,
-                                args.values, fembb_model=fembb,
-                                eurllc_model=eurllc,
-                                noise_seeds=args.noise_seeds,
-                                mobility_speed_mps=args.speed)
+        decider = {"fembb_model": load_checkpoint(args.checkpoint_fembb),
+                   "eurllc_model": load_checkpoint(args.checkpoint_eurllc)}
+    rows = robustness_sweep(state, objective_cfg, args.perturbation,
+                            args.values, noise_seeds=args.noise_seeds,
+                            mobility_speed_mps=args.speed, **decider)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -84,13 +84,19 @@ class Allocation:
     def occupied(self, n_bs: int) -> np.ndarray:
         occ = np.zeros((n_bs, self.n_subchannels), dtype=bool)
         assigned = self.fembb_bs >= 0
-        occ[self.fembb_bs[assigned], self.fembb_k[assigned]] = True
+        try:
+            occ[self.fembb_bs[assigned], self.fembb_k[assigned]] = True
+        except IndexError:
+            raise _outside_grid(n_bs, self.n_subchannels) from None
         return occ
 
     def puncture_counts(self, n_bs: int) -> np.ndarray:
         counts = np.zeros((n_bs, self.n_subchannels), dtype=int)
         served = self.eurllc_k >= 0
-        np.add.at(counts, (self.eurllc_host[served], self.eurllc_k[served]), 1)
+        try:
+            np.add.at(counts, (self.eurllc_host[served], self.eurllc_k[served]), 1)
+        except IndexError:
+            raise _outside_grid(n_bs, self.n_subchannels) from None
         return counts
 
     def canonical_key(self) -> tuple:
@@ -129,6 +135,9 @@ class Allocation:
             if len(data[key]) != n_users:
                 raise AllocationError(f"{key} lists {len(data[key])} entries "
                                       f"for {n_users} users")
+            if any(entry is not None and min(entry) < 0 for entry in data[key]):
+                raise AllocationError(f"{key} holds a negative index "
+                                      "(an unassigned user is null)")
         for f, entry in enumerate(data["fembb"]):
             if entry is not None:
                 alloc.fembb_bs[f], alloc.fembb_k[f] = entry
@@ -137,6 +146,11 @@ class Allocation:
                 alloc.eurllc_k[q], alloc.eurllc_m[q], alloc.eurllc_host[q] = entry
         alloc.validate()
         return alloc
+
+
+def _outside_grid(n_bs: int, n_subchannels: int) -> AllocationError:
+    return AllocationError(f"a (base station, subchannel) index lies outside "
+                           f"the {n_bs} x {n_subchannels} grid")
 
 
 def _check_pairs(first: np.ndarray, second: np.ndarray, names: str,

@@ -42,6 +42,7 @@ ENV_VARIANTS = ("mbn", "sbn", "sc", "sc_noqos")
 SWEEP_WHITELIST = ("n_fembb", "n_eurllc", "n_tbs", "aerial_fraction",
                    "hotspot_fraction", "subchannels_per_band",
                    "minislots_per_subchannel")
+CSI_NOISE_SEED_BASE = 7000  # noise draw r of a CSI row uses seed base + r
 
 RUNS_COLUMNS = ("run_id", "algorithm", "env_variant", "sweep_param",
                 "sweep_value", "seed", "episodes", "final_objective",
@@ -200,20 +201,19 @@ def train_policies(env: JnsaEnv, algorithm: Algorithm, episodes: int,
 
     episode_rewards: list[float] = []
     for _ in range(episodes):
-        env.reset()
+        obs = env.reset()
         pending: dict[UserClass, tuple | None] = {UserClass.FEMBB: None,
                                                   UserClass.EURLLC: None}
         total = 0.0
         while not env.done:
-            user = env.current_agent
-            cls = env.user_class(user)
-            obs = env.observe(user)
+            cls = env.user_class(env.current_agent)
             if pending[cls] is not None:
                 push_and_train(cls, pending[cls], obs, False)
             action = trainers[cls].select_action(obs)
-            _, reward, _ = env.step(action)
+            next_obs, reward, _ = env.step(action)
             total += reward
             pending[cls] = (obs, action, reward)
+            obs = next_obs
         for cls, trainer in trainers.items():
             if trainer is not None and pending[cls] is not None:
                 push_and_train(cls, pending[cls],
@@ -224,13 +224,12 @@ def train_policies(env: JnsaEnv, algorithm: Algorithm, episodes: int,
 
 def greedy_rollout(env: JnsaEnv, fembb_model, eurllc_model):
     """Play one episode greedily; returns (allocation, objective breakdown)."""
-    env.reset()
+    obs = env.reset()
     while not env.done:
-        user = env.current_agent
-        model = (fembb_model if env.user_class(user) is UserClass.FEMBB
+        model = (fembb_model
+                 if env.user_class(env.current_agent) is UserClass.FEMBB
                  else eurllc_model)
-        obs = env.observe(user)
-        env.step(int(np.argmax(model.forward(obs))))
+        obs, _, _ = env.step(int(np.argmax(model.forward(obs))))
     br = objective_breakdown(env.state, env.allocation, env.objective_cfg)
     return env.allocation.copy(), br
 
@@ -289,14 +288,14 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
                      perturbation: str, values, *,
                      allocation: Allocation | None = None,
                      fembb_model=None, eurllc_model=None,
-                     noise_seeds: int = 24, noise_seed_base: int = 7000,
-                     mobility_speed_mps: float = 2.0,
-                     conflict_penalty: float = 1.0) -> list[dict]:
+                     noise_seeds: int = 24,
+                     mobility_speed_mps: float = 2.0) -> list[dict]:
     """FeMBB total rate under CSI noise or mobility, one row per value.
 
     A frozen `allocation` is re-evaluated as-is on the perturbed state; a
     policy (both models) re-decides greedily on the perturbed observations.
-    CSI rows average over `noise_seeds` draws; mobility is deterministic.
+    CSI rows average over `noise_seeds` draws; mobility is deterministic and
+    moves each user away from the station it is served by on `state`.
     """
     frozen = allocation is not None
     if frozen == (fembb_model is not None or eurllc_model is not None):
@@ -304,46 +303,29 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
     if perturbation not in ("csi", "mobility"):
         raise ValueError(f"perturbation must be csi or mobility, got {perturbation!r}")
 
-    if perturbation == "mobility" and frozen:
-        base = state.copy()
-        attach_serving(base, allocation, default_bs=0)
-    else:
-        base = state
-
-    def rate_on(perturbed: NetworkState) -> float:
+    def decide(s: NetworkState) -> Allocation:
         if frozen:
-            return objective_breakdown(perturbed, allocation,
-                                       objective_cfg).fembb_total_rate_bps
-        env = JnsaEnv(perturbed, objective_cfg,
-                      conflict_penalty=conflict_penalty, seed=0,
-                      refresh_fading_on_reset=False)
-        _, br = greedy_rollout(env, fembb_model, eurllc_model)
-        return br.fembb_total_rate_bps
+            return allocation
+        env = JnsaEnv(s, objective_cfg, seed=0, refresh_fading_on_reset=False)
+        return greedy_rollout(env, fembb_model, eurllc_model)[0]
+
+    if perturbation == "mobility":
+        served = state.copy()
+        attach_serving(served, decide(state.copy()), default_bs=0)
 
     rows = []
     for value in values:
         if perturbation == "csi":
-            samples = [rate_on(perturb_csi(base, value,
-                                           seed=noise_seed_base + rep))
-                       for rep in range(noise_seeds)]
+            perturbed = [perturb_csi(state, value, seed=CSI_NOISE_SEED_BASE + rep)
+                         for rep in range(noise_seeds)]
         else:
-            moved = base
-            if not frozen:
-                # the policy moves away from its own stage-1 assignment
-                env = JnsaEnv(base.copy(), objective_cfg,
-                              conflict_penalty=conflict_penalty, seed=0,
-                              refresh_fading_on_reset=False)
-                own_alloc, _ = greedy_rollout(env, fembb_model, eurllc_model)
-                moved = base.copy()
-                attach_serving(moved, own_alloc, default_bs=0)
-            samples = [rate_on(apply_mobility(moved, value,
-                                              mobility_speed_mps))]
-        arr = np.asarray(samples)
-        sem = (float(arr.std(ddof=1) / math.sqrt(len(arr)))
-               if len(arr) > 1 else 0.0)
+            perturbed = [apply_mobility(served, value, mobility_speed_mps)]
+        mean, sem = _mean_sem(
+            [objective_breakdown(s, decide(s), objective_cfg).fembb_total_rate_bps
+             for s in perturbed])
         rows.append({"perturbation": perturbation, "value": float(value),
-                     "fembb_rate_bps_mean": float(arr.mean()),
-                     "fembb_rate_bps_sem": sem, "n": len(arr)})
+                     "fembb_rate_bps_mean": mean, "fembb_rate_bps_sem": sem,
+                     "n": len(perturbed)})
     return rows
 
 

@@ -175,7 +175,7 @@ def set_flat(model, flat: np.ndarray) -> None:
 
 def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
     """Scale the gradient so its L2 norm is at most `bound`."""
-    norm = float(np.sqrt((grad * grad).sum()))
+    norm = float(np.linalg.norm(grad))
     if norm <= bound or norm == 0.0:
         return grad
     return grad * (bound / norm)

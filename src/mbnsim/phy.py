@@ -57,49 +57,27 @@ class ChannelParams:
         return self.thz_total_bandwidth_hz / self.subchannels_per_band
 
 
-@dataclass(frozen=True)
-class LinkGain:
-    """Linear path gain of one user-BS link on one subchannel.
-
-    THz links are deterministic and carry no fading draw.
-    """
-
-    value: float
-    band: Band
-    fading_draw: float | None = None
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("gain must be >= 0")
-        if self.fading_draw is not None and self.fading_draw < 0:
-            raise ValueError("fading draw must be >= 0")
-        if self.band is Band.THZ and self.fading_draw is not None:
-            raise ValueError("THz links carry no fading draw")
-
-
 def rf_path_gain(params: ChannelParams, distance_m: float,
-                 fading_draw: float) -> LinkGain:
+                 fading_draw: float) -> float:
     """RF gain (c / 4 pi f_RF)^2 * x * d^-alpha with small-scale power x."""
     if distance_m <= 0:
         raise ValueError("distance must be strictly positive")
     if fading_draw < 0:
         raise ValueError("fading draw must be >= 0")
     amp = (params.speed_of_light / (4.0 * math.pi * params.rf_carrier_hz)) ** 2
-    value = amp * fading_draw * distance_m ** (-params.rf_pathloss_exponent)
-    return LinkGain(value, Band.RF, fading_draw)
+    return amp * fading_draw * distance_m ** (-params.rf_pathloss_exponent)
 
 
 def thz_path_gain(params: ChannelParams, distance_m: float,
-                  subchannel_freq_hz: float) -> LinkGain:
+                  subchannel_freq_hz: float) -> float:
     """THz gain (c / 4 pi f)^2 * d^-2 * exp(-a d) with molecular absorption."""
     if distance_m <= 0:
         raise ValueError("distance must be strictly positive")
     if subchannel_freq_hz <= 0:
         raise ValueError("frequency must be strictly positive")
     amp = (params.speed_of_light / (4.0 * math.pi * subchannel_freq_hz)) ** 2
-    value = amp * distance_m ** -2 * math.exp(
+    return amp * distance_m ** -2 * math.exp(
         -params.absorption_coeff_per_m * distance_m)
-    return LinkGain(value, Band.THZ)
 
 
 def thz_subchannel_frequency(params: ChannelParams, k: int) -> float:
@@ -119,10 +97,10 @@ def noise_power_w(params: ChannelParams, bandwidth_hz: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def sinr(signal_power_w: float, gain: LinkGain | float,
+def sinr(signal_power_w: float, gain: float,
          interference_w: float, noise_w: float) -> float:
-    """Received SINR: P * h / (I + N). Accepts a LinkGain or a bare gain."""
-    g = gain.value if isinstance(gain, LinkGain) else float(gain)
+    """Received SINR: P * h / (I + N) with a linear power gain h."""
+    g = float(gain)
     if signal_power_w < 0 or g < 0 or interference_w < 0:
         raise ValueError("powers and gain must be >= 0")
     if noise_w <= 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -159,6 +159,12 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(float(np.linalg.norm(a - b)), MIN_LINK_DISTANCE_M)
 
 
+def _rf_link_gains(channel: ChannelParams, distance_m: float,
+                   fading_row: np.ndarray) -> list[float]:
+    """RF gains of one link on every subchannel, one fading draw each."""
+    return [rf_path_gain(channel, distance_m, x) for x in fading_row.tolist()]
+
+
 def compute_gain_tensor(channel: ChannelParams, topology: Topology,
                         users: list[UserProfile],
                         fading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,13 +178,9 @@ def compute_gain_tensor(channel: ChannelParams, topology: Topology,
         for j, bs in enumerate(bs_list):
             d = _distance(user.position, bs.position)
             if bs.band is Band.RF:
-                for k in range(c):
-                    gains[i, j, k] = rf_path_gain(channel, d,
-                                                  fading[i, k]).value
+                gains[i, j] = _rf_link_gains(channel, d, fading[i])
             else:
-                for k in range(c):
-                    gains[i, j, k] = thz_path_gain(channel, d,
-                                                   thz_freqs[k]).value
+                gains[i, j] = [thz_path_gain(channel, d, f) for f in thz_freqs]
             cov = bs.coverage_radius_m
             reachable[i, j] = cov is None or d <= cov
     return gains, reachable
@@ -269,9 +271,7 @@ def refresh_fading(state: NetworkState, rng: np.random.Generator) -> None:
     state.fading = rng.exponential(1.0, size=state.fading.shape)
     for i, user in enumerate(state.users):
         d = _distance(user.position, state.topology.rbs.position)
-        for k in range(state.n_subchannels):
-            state.gains[i, 0, k] = rf_path_gain(state.channel, d,
-                                                state.fading[i, k]).value
+        state.gains[i, 0] = _rf_link_gains(state.channel, d, state.fading[i])
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +284,14 @@ def state_to_json(state: NetworkState) -> dict:
                 "band": bs.band.value,
                 "coverage_radius_m": bs.coverage_radius_m}
 
-    ch = state.channel
+    frame = asdict(state.frame_rf)
+    del frame["subchannel_bandwidth_hz"]  # derived from the channel on load
     return {
         "schema_version": STATE_SCHEMA_VERSION,
         "seed": state.seed,
-        "channel": {
-            "speed_of_light": ch.speed_of_light,
-            "rf_carrier_hz": ch.rf_carrier_hz,
-            "thz_center_hz": ch.thz_center_hz,
-            "rf_pathloss_exponent": ch.rf_pathloss_exponent,
-            "absorption_coeff_per_m": ch.absorption_coeff_per_m,
-            "rf_total_bandwidth_hz": ch.rf_total_bandwidth_hz,
-            "thz_total_bandwidth_hz": ch.thz_total_bandwidth_hz,
-            "subchannels_per_band": ch.subchannels_per_band,
-            "noise_density_dbm_per_hz": ch.noise_density_dbm_per_hz,
-        },
-        "frame": {
-            "blocklength_symbols": state.frame_rf.blocklength_symbols,
-            "bits_per_block": state.frame_rf.bits_per_block,
-            "block_duration_s": state.frame_rf.block_duration_s,
-            "minislots_per_subchannel": state.frame_rf.minislots_per_subchannel,
-        },
-        "qos": {"fembb_min_rate_bps": state.qos.fembb_min_rate_bps,
-                "eurllc_max_error": state.qos.eurllc_max_error},
+        "channel": asdict(state.channel),
+        "frame": frame,
+        "qos": asdict(state.qos),
         "topology": {
             "cell_radius_m": state.topology.cell_radius_m,
             "rbs": bs_dict(state.topology.rbs),

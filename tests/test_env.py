@@ -85,13 +85,30 @@ class TestAllocation:
         ([[0, 9]], [[0, 0, 0]]),
         ([], []),
         ([[0, 1]], [[0, 0, 0], [1, 0, 0]]),
+        ([[-2, -1]], [None]),
     ], ids=["negative_subchannel", "subchannel_past_c", "minislot_past_m",
-            "fembb_subchannel_past_c", "empty_lists", "two_punctures_one_user"])
+            "fembb_subchannel_past_c", "empty_lists", "two_punctures_one_user",
+            "negative_fembb_pair"])
     def test_from_json_rejects_out_of_range_indices(self, fembb, punctures):
         data = Allocation(1, 1, 4, 3).to_json()
         data["fembb"], data["punctures"] = fembb, punctures
         with pytest.raises(AllocationError):
             Allocation.from_json(data)
+
+    @pytest.mark.parametrize("fembb, punctures", [
+        ([[9, 0]], [None]),
+        ([None], [[0, 0, 5]]),
+    ], ids=["fembb_station_past_n_bs", "puncture_host_past_n_bs"])
+    def test_station_past_n_bs_rejected(self, fembb, punctures):
+        # the allocation does not know n_bs, so scoring catches the index
+        state = make_state(n_fembb=1, n_eurllc=1)
+        assert state.n_bs == 3
+        data = Allocation(1, 1, state.n_subchannels,
+                          state.n_minislots).to_json()
+        data["fembb"], data["punctures"] = fembb, punctures
+        alloc = Allocation.from_json(data)
+        with pytest.raises(AllocationError):
+            objective_breakdown(state, alloc, ScalarizedObjective.for_state(state))
 
 
 class TestObjective:
@@ -120,8 +137,8 @@ class TestObjective:
                              - state.topology.rbs.position)
         d_u = np.linalg.norm(state.users[1].position
                              - state.topology.rbs.position)
-        gamma_f = power * rf_path_gain(state.channel, d_f, 1.0).value / noise
-        gamma_u = power * rf_path_gain(state.channel, d_u, 1.0).value / noise
+        gamma_f = power * rf_path_gain(state.channel, d_f, 1.0) / noise
+        gamma_u = power * rf_path_gain(state.channel, d_u, 1.0) / noise
         rate = punctured_rate(w_sub, gamma_f, 1, state.n_minislots)
         eps = decoding_error_probability(state.frame_rf, gamma_u)
         expected = 0.5 * rate / 2e7 + 0.5 * (1.0 - eps)

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbnsim.phy import (Band, ChannelParams, LinkGain, noise_power_w,
-                        rf_path_gain, sinr, thz_path_gain,
-                        thz_subchannel_frequency)
+from mbnsim.phy import (ChannelParams, noise_power_w, rf_path_gain, sinr,
+                        thz_path_gain, thz_subchannel_frequency)
 
 PARAMS = ChannelParams()
 
@@ -38,16 +37,15 @@ class TestRfPathGain:
     def test_reference_distance(self):
         # frozen: (c / 4 pi f)^2 * 100^-2.5 at f = 2.1 GHz
         gain = rf_path_gain(PARAMS, 100.0, 1.0)
-        assert gain.value == pytest.approx(1.2905745254293538e-9, rel=1e-12)
-        assert 10 * math.log10(gain.value) == pytest.approx(-88.89, abs=0.01)
-        assert gain.band is Band.RF
+        assert gain == pytest.approx(1.2905745254293538e-9, rel=1e-12)
+        assert 10 * math.log10(gain) == pytest.approx(-88.89, abs=0.01)
 
     def test_zero_fading_annihilates(self):
-        assert rf_path_gain(PARAMS, 1.0, 0.0).value == 0.0
+        assert rf_path_gain(PARAMS, 1.0, 0.0) == 0.0
 
     def test_linear_in_fading(self):
-        base = rf_path_gain(PARAMS, 100.0, 1.0).value
-        assert rf_path_gain(PARAMS, 100.0, 4.0).value == pytest.approx(
+        base = rf_path_gain(PARAMS, 100.0, 1.0)
+        assert rf_path_gain(PARAMS, 100.0, 4.0) == pytest.approx(
             4.0 * base, rel=1e-15)
 
     def test_domain_errors(self):
@@ -63,28 +61,27 @@ class TestThzPathGain:
     def test_reference_distance(self):
         # frozen: (c / 4 pi f)^2 * 5^-2 * exp(-0.0033 * 5) at f = 340 GHz
         gain = thz_path_gain(PARAMS, 5.0, 340e9)
-        assert gain.value == pytest.approx(1.9371264721872457e-10, rel=1e-12)
-        assert 10 * math.log10(gain.value) == pytest.approx(-97.13, abs=0.01)
-        assert gain.fading_draw is None
+        assert gain == pytest.approx(1.9371264721872457e-10, rel=1e-12)
+        assert 10 * math.log10(gain) == pytest.approx(-97.13, abs=0.01)
 
     def test_zero_absorption_is_free_space(self):
         params = ChannelParams(absorption_coeff_per_m=0.0)
         d, f = 7.0, 340e9
         expected = (params.speed_of_light / (4 * math.pi * f)) ** 2 / d ** 2
-        assert thz_path_gain(params, d, f).value == pytest.approx(
+        assert thz_path_gain(params, d, f) == pytest.approx(
             expected, rel=1e-15)
 
     def test_inverse_square_without_absorption(self):
         params = ChannelParams(absorption_coeff_per_m=0.0)
-        g1 = thz_path_gain(params, 3.0, 340e9).value
-        g2 = thz_path_gain(params, 6.0, 340e9).value
+        g1 = thz_path_gain(params, 3.0, 340e9)
+        g2 = thz_path_gain(params, 6.0, 340e9)
         assert g1 == pytest.approx(4.0 * g2, rel=1e-12)
 
     def test_absorption_never_amplifies(self):
         for d in (0.5, 2.0, 10.0, 80.0):
             free = thz_path_gain(ChannelParams(absorption_coeff_per_m=0.0),
-                                 d, 340e9).value
-            assert thz_path_gain(PARAMS, d, 340e9).value <= free
+                                 d, 340e9)
+            assert thz_path_gain(PARAMS, d, 340e9) <= free
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -150,31 +147,17 @@ class TestSinr:
         value = sinr(10.0, gain, 0.0, noise_power_w(PARAMS, 1e6))
         assert value == pytest.approx(3241776.6392779095, rel=1e-12)
 
-    def test_accepts_linkgain_and_float(self):
-        gain = rf_path_gain(PARAMS, 50.0, 1.0)
-        assert sinr(1.0, gain, 0.0, 1e-15) == sinr(1.0, gain.value, 0.0, 1e-15)
-
     def test_zero_noise_guard(self):
         with pytest.raises(ValueError):
             sinr(1.0, 1.0, 0.0, 0.0)
-
-
-class TestLinkGainInvariants:
-    def test_thz_rejects_fading(self):
-        with pytest.raises(ValueError):
-            LinkGain(1e-9, Band.THZ, fading_draw=1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LinkGain(-1e-9, Band.RF, fading_draw=1.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(d1=st.floats(0.1, 1e4), scale=st.floats(1.01, 100.0),
        x=st.floats(1e-6, 50.0))
 def test_rf_gain_decreasing_in_distance(d1, scale, x):
-    g_near = rf_path_gain(PARAMS, d1, x).value
-    g_far = rf_path_gain(PARAMS, d1 * scale, x).value
+    g_near = rf_path_gain(PARAMS, d1, x)
+    g_far = rf_path_gain(PARAMS, d1 * scale, x)
     assert g_far < g_near or x == 0
 
 
@@ -182,9 +165,9 @@ def test_rf_gain_decreasing_in_distance(d1, scale, x):
 @given(d1=st.floats(0.1, 1e3), scale=st.floats(1.01, 50.0),
        f=st.floats(1e11, 1e13))
 def test_thz_gain_decreasing_in_distance_and_frequency(d1, scale, f):
-    near = thz_path_gain(PARAMS, d1, f).value
-    far = thz_path_gain(PARAMS, d1 * scale, f).value
-    higher_f = thz_path_gain(PARAMS, d1, f * scale).value
+    near = thz_path_gain(PARAMS, d1, f)
+    far = thz_path_gain(PARAMS, d1 * scale, f)
+    higher_f = thz_path_gain(PARAMS, d1, f * scale)
     assert far < near
     assert higher_f < near
 
@@ -203,7 +186,7 @@ def test_sinr_monotonicity_and_finiteness(p, g, i, n):
 @settings(max_examples=100, deadline=None)
 @given(d=st.floats(0.1, 1e4), x=st.floats(0.0, 100.0), f=st.floats(1e11, 1e13))
 def test_all_gains_finite_nonnegative(d, x, f):
-    assert math.isfinite(rf_path_gain(PARAMS, d, x).value)
-    assert rf_path_gain(PARAMS, d, x).value >= 0
-    assert math.isfinite(thz_path_gain(PARAMS, d, f).value)
-    assert thz_path_gain(PARAMS, d, f).value >= 0
+    assert math.isfinite(rf_path_gain(PARAMS, d, x))
+    assert rf_path_gain(PARAMS, d, x) >= 0
+    assert math.isfinite(thz_path_gain(PARAMS, d, f))
+    assert thz_path_gain(PARAMS, d, f) >= 0

@@ -8,8 +8,8 @@ import pytest
 from mbnsim.config import ScenarioConfig
 from mbnsim.phy import Band
 from mbnsim.scenario import (AERIAL_HEIGHT_M, TERRESTRIAL_HEIGHT_M, UserClass,
-                             UserKind, generate_scenario, refresh_fading,
-                             state_from_json, state_to_json)
+                             UserKind, compute_gain_tensor, generate_scenario,
+                             refresh_fading, state_from_json, state_to_json)
 
 
 def desk_cfg(**overrides) -> ScenarioConfig:
@@ -108,6 +108,14 @@ class TestFadingRefresh:
         assert np.array_equal(state.gains[:, 1:, :], thz_before)
         assert not np.array_equal(state.gains[:, 0, :], rf_before)
 
+    def test_refresh_matches_gain_tensor(self):
+        # both paths must compute RF gains the same way, bit for bit
+        state = generate_scenario(desk_cfg(), seed=33)
+        refresh_fading(state, np.random.default_rng(1))
+        gains, _ = compute_gain_tensor(state.channel, state.topology,
+                                       state.users, state.fading)
+        assert np.array_equal(gains, state.gains)
+
     def test_unit_mean_exponential(self):
         state = generate_scenario(desk_cfg(n_fembb=200, n_eurllc=200,
                                            subchannels_per_band=8), seed=37)
@@ -129,6 +137,8 @@ class TestJsonSnapshot:
         assert back.gain_log_bounds == state.gain_log_bounds
         assert back.qos == state.qos
         assert back.channel == state.channel
+        assert back.frame_rf == state.frame_rf
+        assert back.frame_thz == state.frame_thz
         assert [u.position.tolist() for u in back.users] == \
             [u.position.tolist() for u in state.users]
 
