@@ -130,14 +130,23 @@ class Allocation:
                 f"unsupported allocation schema: {data.get('schema_version')}")
         alloc = cls(data["n_fembb"], data["n_eurllc"], data["n_subchannels"],
                     data["n_minislots"])
-        for key, n_users in (("fembb", alloc.n_fembb),
-                             ("punctures", alloc.n_eurllc)):
-            if len(data[key]) != n_users:
-                raise AllocationError(f"{key} lists {len(data[key])} entries "
-                                      f"for {n_users} users")
-            if any(entry is not None and min(entry) < 0 for entry in data[key]):
-                raise AllocationError(f"{key} holds a negative index "
-                                      "(an unassigned user is null)")
+        for key, n_users, width in (("fembb", alloc.n_fembb, 2),
+                                    ("punctures", alloc.n_eurllc, 3)):
+            entries = data[key]
+            if not isinstance(entries, list) or len(entries) != n_users:
+                raise AllocationError(f"{key} must list one entry for each "
+                                      f"of {n_users} users")
+            for entry in entries:
+                if entry is None:
+                    continue
+                if not (isinstance(entry, list) and len(entry) == width
+                        and all(isinstance(i, int) and not isinstance(i, bool)
+                                for i in entry)):
+                    raise AllocationError(f"{key} entry {entry!r} is not null "
+                                          f"or a list of {width} ints")
+                if min(entry) < 0:
+                    raise AllocationError(f"{key} holds a negative index "
+                                          "(an unassigned user is null)")
         for f, entry in enumerate(data["fembb"]):
             if entry is not None:
                 alloc.fembb_bs[f], alloc.fembb_k[f] = entry
@@ -539,8 +548,8 @@ def perturb_csi(state: NetworkState, delta: float, seed: int,
     Deterministic per seed; d = 1 is the identity in both modes.
     """
     if mode == "verbatim":
-        if delta < 1.0:
-            raise ValueError("verbatim CSI noise requires delta >= 1")
+        if not 1.0 <= delta < math.inf:
+            raise ValueError("verbatim CSI noise requires a finite delta >= 1")
         noise_scale = math.sqrt(delta - 1.0)
     elif mode == "conventional":
         if not 0.0 <= delta <= 1.0:
@@ -565,8 +574,10 @@ def apply_mobility(state: NetworkState, elapsed_s: float,
     """Translate every user radially away from its serving base station by
     speed*elapsed and recompute gains (same fading draws). Requires serving
     assignments on the state."""
-    if elapsed_s < 0:
-        raise ValueError("elapsed time must be >= 0")
+    if not (math.isfinite(elapsed_s) and elapsed_s >= 0):
+        raise ValueError(f"elapsed time must be finite and >= 0, got {elapsed_s!r}")
+    if not (math.isfinite(speed_mps) and speed_mps >= 0):
+        raise ValueError(f"speed must be finite and >= 0, got {speed_mps!r}")
     if state.serving_bs is None or (state.serving_bs < 0).any():
         raise ValueError("mobility requires a serving base station per user")
     new = state.copy()

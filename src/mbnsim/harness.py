@@ -302,6 +302,15 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
         raise ValueError("pass exactly one of allocation or policy models")
     if perturbation not in ("csi", "mobility"):
         raise ValueError(f"perturbation must be csi or mobility, got {perturbation!r}")
+    if (isinstance(noise_seeds, bool) or not isinstance(noise_seeds, int)
+            or noise_seeds < 1):
+        raise ValueError(f"noise_seeds must be an int >= 1, got {noise_seeds!r}")
+    if not (math.isfinite(mobility_speed_mps) and mobility_speed_mps >= 0):
+        raise ValueError(f"mobility speed must be finite and >= 0, "
+                         f"got {mobility_speed_mps!r}")
+    values = list(values)
+    if not all(math.isfinite(value) for value in values):
+        raise ValueError(f"sweep values must be finite, got {values!r}")
 
     def decide(s: NetworkState) -> Allocation:
         if frozen:

@@ -23,6 +23,7 @@ class CheckpointError(ValueError):
 class _Network:
     """Parameters live in one contiguous float64 vector `flat`; `params` is
     the list of per-layer weight/bias views into it (w0, b0, w1, b1, ...).
+    `grad` is the gradient buffer `backward` fills, laid out the same way.
     Subclasses give their (fan_in, fan_out) layers in `_layer_shapes` and
     their output head in `forward` and `backward`."""
 
@@ -53,6 +54,9 @@ class _Network:
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
         self.params = self._views(flat)
+        # `backward` writes here, so a gradient step allocates no new vector
+        self.grad = np.empty_like(flat)
+        self._grad_views = self._views(self.grad)
 
     def clone(self):
         new = copy.copy(self)
@@ -107,14 +111,14 @@ class QNetwork(_Network):
         return h @ self.params[-2] + self.params[-1]
 
     def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`."""
-        grad = np.empty_like(self.flat)
-        views = self._views(grad)
+        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
+        Returns the network's own `grad` buffer: the next call overwrites it."""
+        views = self._grad_views
         h = cache[-1]
         np.matmul(h.T, dq, out=views[-2])
         dq.sum(axis=0, out=views[-1])
         self._hidden_backward(cache, dq @ self.params[-2].T, views)
-        return grad
+        return self.grad
 
 
 class DuelingQNetwork(_Network):
@@ -142,9 +146,9 @@ class DuelingQNetwork(_Network):
         return v + a - a.mean(axis=1, keepdims=True)
 
     def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`."""
-        grad = np.empty_like(self.flat)
-        views = self._views(grad)
+        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
+        Returns the network's own `grad` buffer: the next call overwrites it."""
+        views = self._grad_views
         h = cache[-1]
         wv, _, wa, _ = self.params[-4:]
         dv = dq.sum(axis=1, keepdims=True)       # (B, 1)
@@ -154,7 +158,7 @@ class DuelingQNetwork(_Network):
         np.matmul(h.T, da, out=views[-2])
         da.sum(axis=0, out=views[-1])
         self._hidden_backward(cache, dv @ wv.T + da @ wa.T, views)
-        return grad
+        return self.grad
 
 
 def build_network(kind: str, input_dim: int, hidden_sizes, action_count: int,
@@ -182,7 +186,12 @@ def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
 
 
 class AdamOptimizer:
-    """First/second-moment adaptive gradient steps with bias correction."""
+    """First/second-moment adaptive gradient steps with bias correction.
+
+    Updates run in place through two scratch arrays per parameter array, in
+    the same operations and order as p -= lr * (m / c1) / (sqrt(v / c2) + eps),
+    so a step allocates nothing the size of the parameters and its results
+    are bit-identical to that expression."""
 
     def __init__(self, params: list[np.ndarray], learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -190,18 +199,29 @@ class AdamOptimizer:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v,
+                                      self._scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=a)
+            a *= g                       # ((1-b2)*g)*g, not (1-b2)*(g*g)
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, c1, out=b)
+            np.multiply(self.lr, b, out=b)
+            b /= a
+            p -= b
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Networks, gradients, TD targets, replay, exploration, and determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from scipy import stats
 from mbnsim.agents import (Algorithm, DqnTrainer, ExplorationSchedule,
                            ReplayBuffer, TrainerConfig, select_action,
                            td_targets)
-from mbnsim.nets import (CheckpointError, DuelingQNetwork, QNetwork,
-                         build_network, checkpoint_dict, clip_gradients,
-                         get_flat,
-                         load_checkpoint, model_from_checkpoint,
-                         save_checkpoint, set_flat)
+from mbnsim.nets import (AdamOptimizer, CheckpointError, DuelingQNetwork,
+                         QNetwork, build_network, checkpoint_dict,
+                         clip_gradients, get_flat, load_checkpoint,
+                         model_from_checkpoint, save_checkpoint, set_flat)
 
 
 def small_plain(seed=0, dims=(6, (8, 8), 4)):
@@ -410,6 +410,76 @@ class TestFlatLayout:
     def test_clip_zero_gradient_is_unchanged(self):
         grad = np.zeros(4)
         assert np.array_equal(clip_gradients(grad, 1.0), np.zeros(4))
+
+
+def peak_extra_bytes(fn) -> int:
+    """Peak memory traced while `fn` runs, above what was live before it;
+    one untraced call first so lazy set-up is not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+class TestAdam:
+    @staticmethod
+    def reference_step(params, grads, m_list, v_list, t, lr,
+                       beta1=0.9, beta2=0.999, eps=1e-8):
+        """The textbook update written with allocating expressions."""
+        c1 = 1.0 - beta1 ** t
+        c2 = 1.0 - beta2 ** t
+        for p, g, m, v in zip(params, grads, m_list, v_list):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+    def test_in_place_step_is_bit_identical_to_reference(self):
+        rng = np.random.default_rng(11)
+        params = [rng.normal(size=(7, 5)), rng.normal(size=5)]
+        ref = [p.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in params]
+        ref_v = [np.zeros_like(p) for p in params]
+        opt = AdamOptimizer(params, 3e-3)
+        for t in range(1, 7):
+            grads = [rng.normal(scale=10.0 ** (t - 3), size=p.shape)
+                     for p in params]
+            opt.step(params, grads)
+            self.reference_step(ref, grads, ref_m, ref_v, t, 3e-3)
+            for got, want in ((params, ref), (opt.m, ref_m), (opt.v, ref_v)):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_full_scale_step_and_backward_allocate_little(self):
+        # 982 -> 128 -> 128 is the full-scale eURLLC network
+        rng = np.random.default_rng(3)
+        model = DuelingQNetwork(982, (128, 128), 140, rng)
+        cache: list = []
+        model.forward(rng.normal(size=(64, 982)), cache)
+        dq = rng.normal(size=(64, 140))
+        grad = model.backward(cache, dq).copy()
+        opt = AdamOptimizer([model.flat], 1e-3)
+        bound = model.flat.nbytes / 4
+        assert peak_extra_bytes(lambda: opt.step([model.flat], [grad])) < bound
+        assert peak_extra_bytes(lambda: model.backward(cache, dq)) < bound
+
+    @pytest.mark.parametrize("make", [small_plain, small_dueling])
+    def test_backward_fills_own_gradient_buffer(self, make):
+        model = make(seed=5)
+        cache: list = []
+        model.forward(np.random.default_rng(0).normal(size=(3, 6)), cache)
+        grad = model.backward(cache, np.ones((3, 4)))
+        assert grad is model.grad
+        clone = model.clone()
+        assert not np.shares_memory(clone.grad, model.grad)
+        first = grad.copy()
+        clone.backward(cache, 2.0 * np.ones((3, 4)))
+        assert np.array_equal(model.grad, first)
 
 
 class TestCheckpoints:

@@ -86,9 +86,26 @@ class TestAllocation:
         ([], []),
         ([[0, 1]], [[0, 0, 0], [1, 0, 0]]),
         ([[-2, -1]], [None]),
+        ([[1]], [None]),
+        ([[0, 1, 2]], [None]),
+        ([5], [None]),
+        ([["a", 0]], [None]),
+        ([[1.5, 0]], [None]),
+        ([[True, 0]], [None]),
+        ([None], [[0, 1]]),
+        ([None], [[0, 1, 0, 0]]),
+        ([None], [[0, 1.0, 0]]),
+        ([None], [[0, 0, False]]),
+        ([None], [7]),
+        ("a", [None]),
+        ([None], {"0": [0, 0, 0]}),
     ], ids=["negative_subchannel", "subchannel_past_c", "minislot_past_m",
             "fembb_subchannel_past_c", "empty_lists", "two_punctures_one_user",
-            "negative_fembb_pair"])
+            "negative_fembb_pair", "fembb_one_index", "fembb_three_indices",
+            "fembb_scalar", "fembb_string", "fembb_float", "fembb_bool",
+            "puncture_two_indices", "puncture_four_indices", "puncture_float",
+            "puncture_bool", "puncture_scalar", "fembb_not_a_list",
+            "punctures_not_a_list"])
     def test_from_json_rejects_out_of_range_indices(self, fembb, punctures):
         data = Allocation(1, 1, 4, 3).to_json()
         data["fembb"], data["punctures"] = fembb, punctures
@@ -434,8 +451,9 @@ class TestPerturbCsi:
         assert not np.array_equal(a.gains, c.gains)
 
     def test_delta_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            perturb_csi(make_state(), 0.5, seed=1)
+        for delta in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                perturb_csi(make_state(), delta, seed=1)
 
     def test_original_untouched_and_nonnegative(self):
         state = make_state()
@@ -486,6 +504,15 @@ class TestMobility:
         state.serving_bs = np.full(state.n_users, -1)
         with pytest.raises(ValueError):
             apply_mobility(state, 10.0, 2.0)
+
+    @pytest.mark.parametrize("elapsed, speed", [
+        (float("nan"), 2.0), (float("inf"), 2.0), (-1.0, 2.0),
+        (10.0, float("nan")), (10.0, float("inf")), (10.0, -5.0),
+    ], ids=["nan_elapsed", "inf_elapsed", "negative_elapsed", "nan_speed",
+            "inf_speed", "negative_speed"])
+    def test_bad_elapsed_or_speed_rejected(self, elapsed, speed):
+        with pytest.raises(ValueError):
+            apply_mobility(self._served_state(), elapsed, speed)
 
     def test_zero_elapsed_is_identity(self):
         state = self._served_state()

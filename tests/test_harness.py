@@ -251,6 +251,22 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError):
             robustness_sweep(state, weights, "csi", [0.5], allocation=alloc)
 
+    @pytest.mark.parametrize("perturbation, values, kwargs", [
+        ("csi", [2.0], {"noise_seeds": True}),
+        ("csi", [2.0], {"noise_seeds": 2.0}),
+        ("csi", [2.0], {"noise_seeds": 0}),
+        ("csi", [2.0, float("nan")], {}),
+        ("mobility", [10.0], {"mobility_speed_mps": float("nan")}),
+        ("mobility", [10.0], {"mobility_speed_mps": -5.0}),
+        ("mobility", [float("inf")], {}),
+    ], ids=["bool_noise_seeds", "float_noise_seeds", "zero_noise_seeds",
+            "nan_value", "nan_speed", "negative_speed", "inf_value"])
+    def test_bad_sweep_input_rejected(self, perturbation, values, kwargs):
+        state, weights, alloc = self._frozen_setup()
+        with pytest.raises(ValueError):
+            robustness_sweep(state, weights, perturbation, values,
+                             allocation=alloc, **kwargs)
+
 
 class TestCli:
     def _write_cfg(self, tmp_path) -> Path:
@@ -350,6 +366,26 @@ class TestCli:
         command = ["sweep", "--algo", "optimal"] if extra else ["oracle"]
         rc = cli.main([*command, "--config", str(path), "--seed", "1",
                        *extra, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--perturbation", "csi", "--values", "2", "--noise-seeds", "0"],
+        ["--perturbation", "csi", "--values", "2", "--noise-seeds", "-4"],
+        ["--perturbation", "csi", "--values", "nan"],
+        ["--perturbation", "csi", "--values", "2", "inf"],
+        ["--perturbation", "mobility", "--values", "10", "--speed", "nan"],
+        ["--perturbation", "mobility", "--values", "10", "--speed", "-5"],
+        ["--perturbation", "mobility", "--values", "10", "--speed", "inf"],
+        ["--perturbation", "mobility", "--values", "nan"],
+    ], ids=["zero_noise_seeds", "negative_noise_seeds", "nan_csi_value",
+            "inf_csi_value", "nan_speed", "negative_speed", "inf_speed",
+            "nan_elapsed"])
+    def test_bad_evaluate_input_exit_code(self, tmp_path, capsys, extra):
+        rc = cli.main(["evaluate", "--config", str(self._write_cfg(tmp_path)),
+                       "--use-oracle", *extra, "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
