@@ -3,11 +3,13 @@
 `optimal_allocation` maximizes the scalarized objective by depth-first
 branch and bound: FeMBB users branch over (base station, subchannel) pairs
 plus "unassigned", then eURLLC users branch over (subchannel, mini-slot)
-pairs plus "unserved". Bounds are interference- and puncture-free per-user
-optima, so they always dominate the exact leaf value. Leaves are scored
-with the exact objective, which keeps the result bit-identical to plain
-enumeration. `enumerate_optimal` is that plain enumeration, kept as an
-independent cross-check for small instances.
+pairs plus "unserved". Each user's bound is the objective's own per-user
+term (`fembb_term`, `eurllc_term`) at the interference- and puncture-free
+SINR, which can only raise a rate or lower a decoding error, so the bounds
+always dominate the exact leaf value. Leaves are scored with the exact
+objective, which keeps the result bit-identical to plain enumeration.
+`enumerate_optimal` is that plain enumeration, kept as an independent
+cross-check for small instances.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import (Allocation, ScalarizedObjective, objective_breakdown,
-                  resolve_eurllc_host)
+from .env import (Allocation, ScalarizedObjective, eurllc_error, eurllc_term,
+                  fembb_term, objective_breakdown, resolve_eurllc_host)
 from .phy import sinr
 from .scenario import NetworkState, _gain_log_bounds
-from .service import decoding_error_probability, shannon_rate
+from .service import shannon_rate
 
 
 class InstanceSizeError(ValueError):
@@ -51,28 +53,9 @@ def _free_gamma(state: NetworkState, user: int, j: int, k: int) -> float:
                 state.noise_w(j))
 
 
-def _fembb_option_value(state: NetworkState, weights: ScalarizedObjective,
-                        n_f: int, user: int, j: int, k: int) -> float:
-    """Optimistic (interference- and puncture-free) objective term."""
-    w = state.frame_for(j).subchannel_bandwidth_hz
-    rate = shannon_rate(w, _free_gamma(state, user, j, k))
-    if not state.fembb_qos_enforced:
-        return weights.weight_rate * rate / weights.rate_scale_bps
-    if rate >= state.qos.fembb_min_rate_bps:
-        return weights.weight_rate * rate / weights.rate_scale_bps
-    return -weights.weight_rate * weights.violation_penalty / n_f
-
-
-def _eurllc_value(state: NetworkState, weights: ScalarizedObjective,
-                  n_u: int, user: int, host: int, k: int) -> float:
-    gamma = _free_gamma(state, user, host, k)
-    if gamma <= 0:
-        eps = 1.0
-    else:
-        eps = decoding_error_probability(state.frame_for(host), gamma)
-    if eps <= state.qos.eurllc_max_error:
-        return weights.weight_reliability * (1.0 - eps) / weights.reliability_scale
-    return -weights.weight_reliability * weights.violation_penalty / n_u
+def _suffix_sums(values) -> np.ndarray:
+    """suffix[i] = sum(values[i:]), with a trailing 0."""
+    return np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
 
 
 def optimal_allocation(state: NetworkState,
@@ -92,43 +75,49 @@ def optimal_allocation(state: NetworkState,
             f"~{_static_space_bound(state):.3g} nodes)")
     c, m = state.n_subchannels, state.n_minislots
     n_bs = state.n_bs
-    pen_f = (weights.weight_rate * weights.violation_penalty / max(n_f, 1)
-             if state.fembb_qos_enforced else 0.0)
-    pen_u = weights.weight_reliability * weights.violation_penalty / max(n_u, 1)
+
+    # weighted per-user terms at interference- and puncture-free SINR
+    def fembb_value(user: int, j: int, k: int) -> float:
+        rate = shannon_rate(state.frame_for(j).subchannel_bandwidth_hz,
+                            _free_gamma(state, user, j, k))
+        return weights.weight_rate * fembb_term(state, weights, rate, n_f)
+
+    def eurllc_value(user: int, host: int, k: int) -> float:
+        eps = eurllc_error(state.frame_for(host),
+                           _free_gamma(state, user, host, k))
+        return weights.weight_reliability * eurllc_term(state, weights, eps, n_u)
+
+    unassigned = weights.weight_rate * fembb_term(state, weights, 0.0,
+                                                  max(n_f, 1))
+    unserved = weights.weight_reliability * eurllc_term(state, weights, 1.0,
+                                                        max(n_u, 1))
 
     # per-FeMBB-user options sorted by optimistic value, best first
     f_options: list[list[tuple[float, int, int]]] = []
     for user in fembb_ids:
-        opts = [(-pen_f, -1, -1)]
-        for j in range(n_bs):
-            if not state.reachable[user, j]:
-                continue
-            for k in range(c):
-                opts.append((_fembb_option_value(state, weights, max(n_f, 1),
-                                                 user, j, k), j, k))
+        opts = [(unassigned, -1, -1)]
+        opts += [(fembb_value(user, j, k), j, k) for j in range(n_bs)
+                 if state.reachable[user, j] for k in range(c)]
         opts.sort(key=lambda t: (-t[0], t[1], t[2]))
         f_options.append(opts)
-    f_best = [opts[0][0] for opts in f_options]
+    f_best_suffix = _suffix_sums([opts[0][0] for opts in f_options])
 
     # occupancy-independent eURLLC upper bound (best reachable host per k)
-    u_bound = []
-    for user in eurllc_ids:
-        best = -pen_u
-        for j in range(n_bs):
-            if not state.reachable[user, j]:
-                continue
-            for k in range(c):
-                best = max(best, _eurllc_value(state, weights, max(n_u, 1),
-                                               user, j, k))
-        u_bound.append(best)
-    u_bound_suffix = np.concatenate([np.cumsum(u_bound[::-1])[::-1], [0.0]]) \
-        if n_u else np.zeros(1)
-    f_best_suffix = np.concatenate([np.cumsum(f_best[::-1])[::-1], [0.0]]) \
-        if n_f else np.zeros(1)
+    u_bound_total = _suffix_sums([
+        max([unserved] + [eurllc_value(user, j, k) for j in range(n_bs)
+                          if state.reachable[user, j] for k in range(c)])
+        for user in eurllc_ids])[0]
 
     best_val = -math.inf
     best_alloc: Allocation | None = None
     nodes = 0
+
+    def count_node():
+        nonlocal nodes
+        nodes += 1
+        if nodes > limits.node_budget:
+            raise InstanceSizeError(
+                f"search exceeded the node budget of {limits.node_budget}")
 
     def leaf(alloc: Allocation):
         nonlocal best_val, best_alloc
@@ -147,22 +136,16 @@ def optimal_allocation(state: NetworkState,
             for k in range(c):
                 host = resolve_eurllc_host(state, occupied, user, k)
                 hosts[q, k] = host
-                values[q, k] = (_eurllc_value(state, weights, max(n_u, 1),
-                                              user, host, k)
-                                if host >= 0 else -pen_u)
+                values[q, k] = (eurllc_value(user, host, k) if host >= 0
+                                else unserved)
         order = [sorted(range(c), key=lambda k: -values[q, k])
                  for q in range(n_u)]
-        suffix = np.concatenate(
-            [np.cumsum([max(values[q].max(initial=-pen_u), -pen_u)
-                        for q in range(n_u)][::-1])[::-1], [0.0]])
+        suffix = _suffix_sums([values[q].max(initial=unserved)
+                               for q in range(n_u)])
         used = np.zeros((c, m), dtype=bool)
 
         def descend(q: int, partial: float):
-            nonlocal nodes
-            nodes += 1
-            if nodes > limits.node_budget:
-                raise InstanceSizeError(
-                    f"search exceeded the node budget of {limits.node_budget}")
+            count_node()
             if q == n_u:
                 leaf(alloc)
                 return
@@ -179,22 +162,18 @@ def optimal_allocation(state: NetworkState,
                     alloc.eurllc_k[q] = alloc.eurllc_m[q] = alloc.eurllc_host[q] = -1
                     used[k, slot] = False
                     break  # mini-slots on one subchannel are interchangeable upward
-            descend(q + 1, partial - pen_u)  # leave this user unserved
+            descend(q + 1, partial + unserved)  # leave this user unserved
 
         descend(0, 0.0)
 
     def fembb_stage(f: int, partial: float, alloc: Allocation,
                     occupied: np.ndarray):
-        nonlocal nodes
-        nodes += 1
-        if nodes > limits.node_budget:
-            raise InstanceSizeError(
-                f"search exceeded the node budget of {limits.node_budget}")
+        count_node()
         if f == n_f:
-            if partial + u_bound_suffix[0] >= best_val:
+            if partial + u_bound_total >= best_val:
                 eurllc_stage(alloc, occupied, partial)
             return
-        if partial + f_best_suffix[f] + u_bound_suffix[0] < best_val:
+        if partial + f_best_suffix[f] + u_bound_total < best_val:
             return
         for value, j, k in f_options[f]:
             if j >= 0:

@@ -19,7 +19,8 @@ import numpy as np
 from .phy import sinr
 from .scenario import (NetworkState, UserClass, compute_gain_tensor,
                        refresh_fading)
-from .service import decoding_error_probability, punctured_rate, shannon_rate
+from .service import (FrameConfig, decoding_error_probability, punctured_rate,
+                      shannon_rate)
 
 ALLOCATION_SCHEMA_VERSION = 1
 _UNASSIGNED_KEY = (1 << 30, 1 << 30, 1 << 30)
@@ -128,11 +129,15 @@ class Allocation:
         if data.get("schema_version") != ALLOCATION_SCHEMA_VERSION:
             raise AllocationError(
                 f"unsupported allocation schema: {data.get('schema_version')}")
-        alloc = cls(data["n_fembb"], data["n_eurllc"], data["n_subchannels"],
-                    data["n_minislots"])
-        for key, n_users, width in (("fembb", alloc.n_fembb, 2),
-                                    ("punctures", alloc.n_eurllc, 3)):
-            entries = data[key]
+        counts = [data.get(key) for key in
+                  ("n_fembb", "n_eurllc", "n_subchannels", "n_minislots")]
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
+                   for n in counts):
+            raise AllocationError(f"allocation counts {counts!r} are not all "
+                                  "non-negative ints")
+        for key, n_users, width in (("fembb", counts[0], 2),
+                                    ("punctures", counts[1], 3)):
+            entries = data.get(key)
             if not isinstance(entries, list) or len(entries) != n_users:
                 raise AllocationError(f"{key} must list one entry for each "
                                       f"of {n_users} users")
@@ -147,6 +152,7 @@ class Allocation:
                 if min(entry) < 0:
                     raise AllocationError(f"{key} holds a negative index "
                                           "(an unassigned user is null)")
+        alloc = cls(*counts)
         for f, entry in enumerate(data["fembb"]):
             if entry is not None:
                 alloc.fembb_bs[f], alloc.fembb_k[f] = entry
@@ -271,6 +277,33 @@ def resolve_eurllc_host(state: NetworkState, occupied: np.ndarray, user: int,
     return best_occ if best_occ >= 0 else best_free
 
 
+def fembb_term(state: NetworkState, weights: ScalarizedObjective, rate: float,
+               n_f: int) -> float:
+    """One FeMBB user's unweighted share of the objective: its normalized
+    rate when the rate target is met or not enforced, else minus the
+    violation penalty split over the n_f FeMBB users. An unassigned user has
+    rate 0, which misses every (positive) target."""
+    if not state.fembb_qos_enforced or rate >= state.qos.fembb_min_rate_bps:
+        return rate / weights.rate_scale_bps
+    return -weights.violation_penalty / n_f
+
+
+def eurllc_error(frame: FrameConfig, gamma: float) -> float:
+    """Decoding error probability at SINR gamma; a zero SINR always fails."""
+    return 1.0 if gamma <= 0 else decoding_error_probability(frame, gamma)
+
+
+def eurllc_term(state: NetworkState, weights: ScalarizedObjective, eps: float,
+                n_u: int) -> float:
+    """One eURLLC user's unweighted share of the objective: its normalized
+    reliability when the error target is met, else minus the violation
+    penalty split over the n_u eURLLC users. An unserved user has error 1,
+    which misses every (sub-unit) target."""
+    if eps <= state.qos.eurllc_max_error:
+        return (1.0 - eps) / weights.reliability_scale
+    return -weights.violation_penalty / n_u
+
+
 def objective_breakdown(state: NetworkState, alloc: Allocation,
                         weights: ScalarizedObjective) -> ObjectiveBreakdown:
     alloc.validate()
@@ -282,7 +315,6 @@ def objective_breakdown(state: NetworkState, alloc: Allocation,
     fembb_ids = state.fembb_users
     eurllc_ids = state.eurllc_users
     n_f, n_u = len(fembb_ids), len(eurllc_ids)
-    penalty = weights.violation_penalty
 
     rates = np.zeros(n_f)
     fembb_ok = np.zeros(n_f, dtype=bool)
@@ -290,20 +322,14 @@ def objective_breakdown(state: NetworkState, alloc: Allocation,
     for f, user in enumerate(fembb_ids):
         j = int(alloc.fembb_bs[f])
         if j < 0:
-            if state.fembb_qos_enforced:
-                s_rate -= penalty / n_f
+            s_rate += fembb_term(state, weights, 0.0, n_f)
             continue
         k = int(alloc.fembb_k[f])
         gamma = link_gamma(state, active, user, j, k)
         w = state.frame_for(j).subchannel_bandwidth_hz
         rates[f] = punctured_rate(w, gamma, int(punct[j, k]), minislots)
         fembb_ok[f] = rates[f] >= state.qos.fembb_min_rate_bps
-        if not state.fembb_qos_enforced:
-            s_rate += rates[f] / weights.rate_scale_bps
-        elif fembb_ok[f]:
-            s_rate += rates[f] / weights.rate_scale_bps
-        else:
-            s_rate -= penalty / n_f
+        s_rate += fembb_term(state, weights, rates[f], n_f)
 
     errors = np.ones(n_u)
     eurllc_ok = np.zeros(n_u, dtype=bool)
@@ -311,19 +337,13 @@ def objective_breakdown(state: NetworkState, alloc: Allocation,
     for q, user in enumerate(eurllc_ids):
         k = int(alloc.eurllc_k[q])
         if k < 0:
-            s_rel -= penalty / max(n_u, 1)
+            s_rel += eurllc_term(state, weights, 1.0, n_u)
             continue
         host = int(alloc.eurllc_host[q])
         gamma = link_gamma(state, active, user, host, k)
-        if gamma <= 0:
-            errors[q] = 1.0
-        else:
-            errors[q] = decoding_error_probability(state.frame_for(host), gamma)
+        errors[q] = eurllc_error(state.frame_for(host), gamma)
         eurllc_ok[q] = errors[q] <= state.qos.eurllc_max_error
-        if eurllc_ok[q]:
-            s_rel += (1.0 - errors[q]) / weights.reliability_scale
-        else:
-            s_rel -= penalty / n_u
+        s_rel += eurllc_term(state, weights, errors[q], n_u)
 
     value = weights.weight_rate * s_rate + weights.weight_reliability * s_rel
     return ObjectiveBreakdown(value, rates, fembb_ok, errors, eurllc_ok)
@@ -540,23 +560,14 @@ class JnsaEnv:
 # ---------------------------------------------------------------------------
 # Perturbations used by the robustness experiments
 
-def perturb_csi(state: NetworkState, delta: float, seed: int,
-                mode: str = "verbatim") -> NetworkState:
-    """Imperfect-CSI model: every gain becomes |sqrt(d)*h + sqrt(d-1)*w| with
-    w standard complex normal ("verbatim", d >= 1). Mode "conventional" uses
-    the Gauss-Markov mixing |sqrt(d)*h + sqrt(1-d)*w| for 0 <= d <= 1.
-    Deterministic per seed; d = 1 is the identity in both modes.
+def perturb_csi(state: NetworkState, delta: float, seed: int) -> NetworkState:
+    """Imperfect-CSI model as the paper writes it: every gain h becomes
+    |sqrt(d)*h + sqrt(d-1)*w| with w standard complex normal, for a finite
+    d >= 1. Deterministic per seed; d = 1 is the identity.
     """
-    if mode == "verbatim":
-        if not 1.0 <= delta < math.inf:
-            raise ValueError("verbatim CSI noise requires a finite delta >= 1")
-        noise_scale = math.sqrt(delta - 1.0)
-    elif mode == "conventional":
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError("conventional CSI noise requires delta in [0, 1]")
-        noise_scale = math.sqrt(1.0 - delta)
-    else:
-        raise ValueError(f"unknown CSI noise mode: {mode}")
+    if not 1.0 <= delta < math.inf:
+        raise ValueError("CSI noise requires a finite delta >= 1")
+    noise_scale = math.sqrt(delta - 1.0)
     new = state.copy()
     if noise_scale == 0.0:
         return new

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import __version__
 from .agents import Algorithm, DqnTrainer, ExplorationSchedule, TrainerConfig
-from .baselines import (SearchLimits, make_sbn_scenario, make_sc_scenario,
-                        optimal_allocation)
+from .baselines import make_sbn_scenario, make_sc_scenario, optimal_allocation
 from .config import ConfigError, ScenarioConfig
 from .env import (Allocation, JnsaEnv, ScalarizedObjective, apply_mobility,
                   attach_serving, objective_breakdown, perturb_csi)
@@ -65,10 +64,8 @@ class ExperimentSpec:
     sweep_param: str | None = None
     sweep_values: tuple | None = None
     eval_episodes: int = 3
-    train_every: int = 1
     epsilon_decay_fraction: float = 0.6
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
-    oracle_limits: SearchLimits = field(default_factory=SearchLimits)
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -93,24 +90,9 @@ class ExperimentSpec:
                 self.scenario.replace(**{self.sweep_param: value})
         if self.eval_episodes <= 0:
             raise ConfigError("eval_episodes must be > 0")
-        if self.train_every <= 0:
-            raise ConfigError("train_every must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "algorithm": self.algorithm,
-            "env_variant": self.env_variant,
-            "episodes": self.episodes,
-            "seeds": list(self.seeds),
-            "sweep_param": self.sweep_param,
-            "sweep_values": None if self.sweep_values is None
-            else list(self.sweep_values),
-            "eval_episodes": self.eval_episodes,
-            "train_every": self.train_every,
-            "epsilon_decay_fraction": self.epsilon_decay_fraction,
-            "trainer": dataclasses.asdict(self.trainer),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -161,7 +143,6 @@ def build_variant_state(base: NetworkState, variant: str) -> NetworkState:
 
 def train_policies(env: JnsaEnv, algorithm: Algorithm, episodes: int,
                    trainer_cfg: TrainerConfig, seed: int,
-                   train_every: int = 1,
                    epsilon_decay_fraction: float = 0.6
                    ) -> tuple[DqnTrainer | None, DqnTrainer | None, list[float]]:
     """Drive one shared policy per user class through `episodes` episodes.
@@ -186,17 +167,13 @@ def train_policies(env: JnsaEnv, algorithm: Algorithm, episodes: int,
         trainers[cls] = DqnTrainer(algorithm, obs_dim, n_actions, cfg,
                                    schedule)
 
-    pushes = {UserClass.FEMBB: 0, UserClass.EURLLC: 0}
-
     def push_and_train(cls: UserClass, transition: tuple, next_obs,
                        done: bool) -> None:
-        """Store (obs, action, reward) + next_obs; train every `train_every`
-        pushes of the class once its buffer holds a batch."""
+        """Store (obs, action, reward) + next_obs; train on every push once
+        the class's buffer holds a batch."""
         trainer = trainers[cls]
         trainer.push(*transition, next_obs, done)
-        pushes[cls] += 1
-        if (pushes[cls] % train_every == 0
-                and len(trainer.buffer) >= trainer.cfg.batch_size):
+        if len(trainer.buffer) >= trainer.cfg.batch_size:
             trainer.train_step()
 
     episode_rewards: list[float] = []
@@ -249,14 +226,13 @@ def evaluate_policies(state: NetworkState, objective_cfg: ScalarizedObjective,
 
 
 def evaluate_oracle(state: NetworkState, objective_cfg: ScalarizedObjective,
-                    eval_seed: int, eval_episodes: int,
-                    limits: SearchLimits = SearchLimits()):
+                    eval_seed: int, eval_episodes: int):
     """Exact solve on the same eval fading states the policies see."""
     env = JnsaEnv(state.copy(), objective_cfg, seed=eval_seed)
     results, alloc = [], None
     for _ in range(eval_episodes):
         env.reset()
-        alloc, _ = optimal_allocation(env.state, objective_cfg, limits)
+        alloc, _ = optimal_allocation(env.state, objective_cfg)
         results.append(objective_breakdown(env.state, alloc, objective_cfg))
     return results, alloc
 
@@ -365,15 +341,13 @@ def _run_single(spec: ExperimentSpec, cfg: ScenarioConfig, run_id: str,
     rewards: list[float] = []
     if spec.algorithm == "optimal":
         results, alloc = evaluate_oracle(state, objective_cfg, eval_seed,
-                                         spec.eval_episodes,
-                                         spec.oracle_limits)
+                                         spec.eval_episodes)
     else:
         env = JnsaEnv(state.copy(), objective_cfg,
                       conflict_penalty=cfg.conflict_penalty, seed=env_seed)
         trainer_f, trainer_u, rewards = train_policies(
             env, Algorithm.parse(spec.algorithm), spec.episodes, spec.trainer,
-            seed=seed, train_every=spec.train_every,
-            epsilon_decay_fraction=spec.epsilon_decay_fraction)
+            seed=seed, epsilon_decay_fraction=spec.epsilon_decay_fraction)
         results, alloc = evaluate_policies(
             state, objective_cfg,
             trainer_f.online if trainer_f else None,

@@ -10,11 +10,9 @@ redrawn per episode and fixed within it; THz links are deterministic.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -350,11 +348,3 @@ def state_from_json(data: dict) -> NetworkState:
         serving_bs=None if serving is None else np.array(serving, dtype=int),
         seed=data["seed"],
     )
-
-
-def save_state(state: NetworkState, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(state_to_json(state)))
-
-
-def load_state(path: str | Path) -> NetworkState:
-    return state_from_json(json.loads(Path(path).read_text()))

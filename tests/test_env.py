@@ -112,6 +112,27 @@ class TestAllocation:
         with pytest.raises(AllocationError):
             Allocation.from_json(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_fembb", "1"),
+        ("n_fembb", -1),
+        ("n_eurllc", True),
+        ("n_subchannels", 2.5),
+        ("n_minislots", None),
+        ("n_eurllc", KeyError),
+        ("fembb", KeyError),
+        ("punctures", KeyError),
+    ], ids=["count_string", "count_negative", "count_bool", "count_float",
+            "count_null", "missing_n_eurllc", "missing_fembb",
+            "missing_punctures"])
+    def test_from_json_rejects_bad_header(self, key, value):
+        data = Allocation(1, 1, 4, 3).to_json()
+        if value is KeyError:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(AllocationError):
+            Allocation.from_json(data)
+
     @pytest.mark.parametrize("fembb, punctures", [
         ([[9, 0]], [None]),
         ([None], [[0, 0, 5]]),
@@ -472,19 +493,6 @@ class TestPerturbCsi:
         assert residual.mean() ** 2 + residual.var() == pytest.approx(
             1.0, abs=0.05)  # second moment
         assert residual.var() == pytest.approx(1.0 - math.pi / 4, abs=0.03)
-
-    def test_conventional_mode(self):
-        state = make_state()
-        assert np.array_equal(
-            perturb_csi(state, 1.0, seed=1, mode="conventional").gains,
-            state.gains)
-        big = make_state(n_fembb=120, n_eurllc=120, subchannels_per_band=6,
-                         seed=3)
-        pure_noise = perturb_csi(big, 0.0, seed=1, mode="conventional")
-        assert pure_noise.gains.mean() == pytest.approx(
-            math.sqrt(math.pi) / 2, abs=0.02)  # Rayleigh mean
-        with pytest.raises(ValueError):
-            perturb_csi(state, 1.5, seed=1, mode="conventional")
 
 
 class TestMobility:
