@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +30,10 @@ class InstanceSizeError(ValueError):
     """Instance exceeds the exact-search limits."""
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_users: int = 12
-    max_subchannels: int = 10
-    node_budget: int = 20_000_000
+# exact-search limits: larger instances raise InstanceSizeError
+MAX_USERS = 12
+MAX_SUBCHANNELS = 10
+NODE_BUDGET = 20_000_000
 
 
 def _static_space_bound(state: NetworkState) -> float:
@@ -59,8 +57,7 @@ def _suffix_sums(values) -> np.ndarray:
 
 
 def optimal_allocation(state: NetworkState,
-                       weights: ScalarizedObjective | None = None,
-                       limits: SearchLimits = SearchLimits()
+                       weights: ScalarizedObjective | None = None
                        ) -> tuple[Allocation, float]:
     """Exact maximizer of the scalarized objective, deterministic with
     lexicographically-smallest tie-breaking."""
@@ -68,7 +65,7 @@ def optimal_allocation(state: NetworkState,
     fembb_ids = state.fembb_users
     eurllc_ids = state.eurllc_users
     n_f, n_u = len(fembb_ids), len(eurllc_ids)
-    if n_f + n_u > limits.max_users or state.n_subchannels > limits.max_subchannels:
+    if n_f + n_u > MAX_USERS or state.n_subchannels > MAX_SUBCHANNELS:
         raise InstanceSizeError(
             f"instance exceeds search limits ({n_f + n_u} users, "
             f"{state.n_subchannels} subchannels; static search space "
@@ -115,9 +112,9 @@ def optimal_allocation(state: NetworkState,
     def count_node():
         nonlocal nodes
         nodes += 1
-        if nodes > limits.node_budget:
+        if nodes > NODE_BUDGET:
             raise InstanceSizeError(
-                f"search exceeded the node budget of {limits.node_budget}")
+                f"search exceeded the node budget of {NODE_BUDGET}")
 
     def leaf(alloc: Allocation):
         nonlocal best_val, best_alloc

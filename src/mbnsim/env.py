@@ -24,6 +24,7 @@ from .service import (FrameConfig, decoding_error_probability, punctured_rate,
 
 ALLOCATION_SCHEMA_VERSION = 1
 _UNASSIGNED_KEY = (1 << 30, 1 << 30, 1 << 30)
+_MAX_INDEX = int(np.iinfo(int).max)  # largest index the int arrays hold
 
 
 class AllocationError(ValueError):
@@ -126,6 +127,9 @@ class Allocation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Allocation":
+        if not isinstance(data, dict):
+            raise AllocationError(f"an allocation is a JSON object, not "
+                                  f"{type(data).__name__}")
         if data.get("schema_version") != ALLOCATION_SCHEMA_VERSION:
             raise AllocationError(
                 f"unsupported allocation schema: {data.get('schema_version')}")
@@ -149,9 +153,9 @@ class Allocation:
                                 for i in entry)):
                     raise AllocationError(f"{key} entry {entry!r} is not null "
                                           f"or a list of {width} ints")
-                if min(entry) < 0:
-                    raise AllocationError(f"{key} holds a negative index "
-                                          "(an unassigned user is null)")
+                if not 0 <= min(entry) <= max(entry) <= _MAX_INDEX:
+                    raise AllocationError(f"{key} holds an index outside 0.."
+                                          f"{_MAX_INDEX} (unassigned is null)")
         alloc = cls(*counts)
         for f, entry in enumerate(data["fembb"]):
             if entry is not None:
@@ -186,18 +190,21 @@ class ScalarizedObjective:
     """Weighted-sum scalarization of FeMBB rate and eURLLC reliability."""
 
     weight_rate: float = 0.5
-    weight_reliability: float = 0.5
     rate_scale_bps: float = 1.0
     reliability_scale: float = 1.0
     violation_penalty: float = 1.0
 
     def __post_init__(self):
-        if self.weight_rate < 0 or self.weight_reliability < 0:
-            raise ValueError("weights must be >= 0")
-        if abs(self.weight_rate + self.weight_reliability - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+        if not 0.0 <= self.weight_rate <= 1.0:
+            raise ValueError(f"weight_rate must lie in [0, 1], "
+                             f"got {self.weight_rate!r}")
         if self.rate_scale_bps <= 0 or self.reliability_scale <= 0:
             raise ValueError("normalizers must be > 0")
+
+    @property
+    def weight_reliability(self) -> float:
+        """Weight of the reliability term; the two weights sum to 1."""
+        return 1.0 - self.weight_rate
 
     @classmethod
     def for_state(cls, state: NetworkState, weight_rate: float = 0.5,
@@ -221,7 +228,6 @@ class ScalarizedObjective:
         n_f = max(len(state.fembb_users), 1)
         n_u = max(len(state.eurllc_users), 1)
         return cls(weight_rate=weight_rate,
-                   weight_reliability=1.0 - weight_rate,
                    rate_scale_bps=n_f * best,
                    reliability_scale=float(n_u),
                    violation_penalty=violation_penalty)
@@ -400,7 +406,6 @@ class JnsaEnv:
         self.eurllc_obs_dim = 2 + 2 * bitmap + state.n_subchannels * state.n_minislots
         self._order: list[int] = []
         self._cursor = 0
-        self._done = True
         self._alloc = Allocation(len(self.fembb_ids), len(self.eurllc_ids),
                                  state.n_subchannels, state.n_minislots)
         self._norm_gains = np.zeros_like(state.gains)
@@ -419,19 +424,18 @@ class JnsaEnv:
             self.eurllc_ids else []
         self._order = order
         self._cursor = 0
-        self._done = len(order) == 0
         self._alloc = Allocation(len(self.fembb_ids), len(self.eurllc_ids),
                                  self.state.n_subchannels,
                                  self.state.n_minislots)
         self._obj_value = objective(self.state, self._alloc, self.objective_cfg)
         self.conflict_penalty_total = 0.0
-        if self._done:
+        if self.done:
             return np.zeros(0)
         return self.observe(self._order[0])
 
     @property
     def current_agent(self) -> int | None:
-        return None if self._done else self._order[self._cursor]
+        return None if self.done else self._order[self._cursor]
 
     @property
     def agent_order(self) -> list[int]:
@@ -439,7 +443,7 @@ class JnsaEnv:
 
     @property
     def done(self) -> bool:
-        return self._done
+        return self._cursor >= len(self._order)
 
     @property
     def allocation(self) -> Allocation:
@@ -491,70 +495,53 @@ class JnsaEnv:
     # -- transition ----------------------------------------------------------
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool]:
-        """Commit the current agent's action if feasible; reward is the
+        """Commit the current agent's action if it is feasible for its class
+        and leaves the acting user meeting its QoS target; reward is the
         marginal objective change, or minus the conflict penalty on
         rejection. Returns (next agent's observation, reward, episode done).
         """
-        if self._done:
+        if self.done:
             raise RuntimeError("episode is finished; call reset()")
+        state, alloc = self.state, self._alloc
         user = self._order[self._cursor]
-        if self.user_class(user) is UserClass.FEMBB:
-            reward = self._step_fembb(user, int(action))
+        fembb = self.user_class(user) is UserClass.FEMBB
+        n_actions = self.fembb_action_count if fembb else self.eurllc_action_count
+        action = int(action)
+        if not 0 <= action < n_actions:
+            raise IndexError(f"{'FeMBB' if fembb else 'eURLLC'} action "
+                             f"{action} outside 0..{n_actions - 1}")
+        if fembb:
+            j, k = divmod(action, state.n_subchannels)
+            entries = {"fembb_bs": j, "fembb_k": k}
+            feasible = (state.reachable[user, j]
+                        and not alloc.occupied(state.n_bs)[j, k])
         else:
-            reward = self._step_eurllc(user, int(action))
+            k, m = divmod(action, state.n_minislots)
+            taken = ((alloc.eurllc_k == k) & (alloc.eurllc_m == m)).any()
+            host = -1 if taken else resolve_eurllc_host(
+                state, alloc.occupied(state.n_bs), user, k)
+            entries = {"eurllc_k": k, "eurllc_m": m, "eurllc_host": host}
+            feasible = host >= 0
+
+        accepted = False
+        if feasible:
+            i = self._local_index[user]
+            candidate = alloc.copy()
+            for name, value in entries.items():
+                getattr(candidate, name)[i] = value
+            br = objective_breakdown(state, candidate, self.objective_cfg)
+            accepted = ((br.fembb_ok[i] or not state.fembb_qos_enforced)
+                        if fembb else br.eurllc_ok[i])
+        if accepted:
+            reward = br.value - self._obj_value
+            self._alloc, self._obj_value = candidate, br.value
+        else:
+            reward = -self.conflict_penalty
+            self.conflict_penalty_total += self.conflict_penalty
         self._cursor += 1
-        self._done = self._cursor >= len(self._order)
-        next_obs = (np.zeros(0) if self._done
+        next_obs = (np.zeros(0) if self.done
                     else self.observe(self._order[self._cursor]))
-        return next_obs, reward, self._done
-
-    def _reject(self) -> float:
-        self.conflict_penalty_total += self.conflict_penalty
-        return -self.conflict_penalty
-
-    def _step_fembb(self, user: int, action: int) -> float:
-        state = self.state
-        if not 0 <= action < self.fembb_action_count:
-            raise IndexError(f"FeMBB action {action} outside 0..{self.fembb_action_count - 1}")
-        j, k = divmod(action, state.n_subchannels)
-        f = self._local_index[user]
-        if not state.reachable[user, j]:
-            return self._reject()
-        if self._alloc.occupied(state.n_bs)[j, k]:
-            return self._reject()
-        candidate = self._alloc.copy()
-        candidate.fembb_bs[f] = j
-        candidate.fembb_k[f] = k
-        br = objective_breakdown(state, candidate, self.objective_cfg)
-        if state.fembb_qos_enforced and not br.fembb_ok[f]:
-            return self._reject()
-        reward = br.value - self._obj_value
-        self._alloc = candidate
-        self._obj_value = br.value
-        return reward
-
-    def _step_eurllc(self, user: int, action: int) -> float:
-        state = self.state
-        if not 0 <= action < self.eurllc_action_count:
-            raise IndexError(f"eURLLC action {action} outside 0..{self.eurllc_action_count - 1}")
-        k, m = divmod(action, state.n_minislots)
-        q = self._local_index[user]
-        if ((self._alloc.eurllc_k == k) & (self._alloc.eurllc_m == m)).any():
-            return self._reject()
-        host = resolve_eurllc_host(state, self._alloc.occupied(state.n_bs),
-                                   user, k)
-        if host < 0:
-            return self._reject()
-        candidate = self._alloc.copy()
-        candidate.eurllc_k[q], candidate.eurllc_m[q] = k, m
-        candidate.eurllc_host[q] = host
-        br = objective_breakdown(state, candidate, self.objective_cfg)
-        if not br.eurllc_ok[q]:
-            return self._reject()
-        reward = br.value - self._obj_value
-        self._alloc = candidate
-        self._obj_value = br.value
-        return reward
+        return next_obs, reward, self.done
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ robustness evaluation, and CSV/JSON result emission.
 
 File schemas (all floats emitted with repr so rows round-trip exactly):
 
-* ``runs.csv``: one row per (seed, sweep value) with columns run_id,
+* ``runs.csv``: one row per (sweep value, seed) with columns run_id,
   algorithm, env_variant, sweep_param, sweep_value, seed, episodes,
   final_objective, fembb_rate_bps, eurllc_feasible_count, episodes_to_95
-  (int, ``not_converged``, or empty for untrained runs), wall_clock_s,
+  (int, ``not_converged``, or empty for runs shorter than
+  ``CONVERGENCE_WINDOW`` episodes, as untrained runs are), wall_clock_s,
   config_hash. wall_clock_s is the only non-reproducible column.
 * ``rewards.csv``: run_id, episode, reward (per-episode total reward).
 * ``summary.csv``: per (algorithm, env_variant, sweep_param, sweep_value)
@@ -42,6 +43,7 @@ SWEEP_WHITELIST = ("n_fembb", "n_eurllc", "n_tbs", "aerial_fraction",
                    "hotspot_fraction", "subchannels_per_band",
                    "minislots_per_subchannel")
 CSI_NOISE_SEED_BASE = 7000  # noise draw r of a CSI row uses seed base + r
+CONVERGENCE_WINDOW = 50  # episodes per moving average of episodes_to_95
 
 RUNS_COLUMNS = ("run_id", "algorithm", "env_variant", "sweep_param",
                 "sweep_value", "seed", "episodes", "final_objective",
@@ -240,7 +242,7 @@ def evaluate_oracle(state: NetworkState, objective_cfg: ScalarizedObjective,
 # ---------------------------------------------------------------------------
 # Convergence metric
 
-def convergence_metric(rewards, window: int = 50,
+def convergence_metric(rewards, window: int = CONVERGENCE_WINDOW,
                        final_window: int = 100) -> int | None:
     """1-based start episode of the first `window`-episode moving average
     reaching 95% of the final-`final_window` mean (from below in magnitude),
@@ -366,7 +368,7 @@ def _run_single(spec: ExperimentSpec, cfg: ScenarioConfig, run_id: str,
                                 checkpoint_dir / f"{run_id}_eurllc.json", echo)
 
     episodes_to_95 = None
-    if len(rewards) >= 50:
+    if len(rewards) >= CONVERGENCE_WINDOW:
         episodes_to_95 = convergence_metric(rewards)
     return RunRecord(
         run_id=run_id,
@@ -390,17 +392,17 @@ def _run_single(spec: ExperimentSpec, cfg: ScenarioConfig, run_id: str,
 
 def run_experiment(spec: ExperimentSpec,
                    out_dir: str | Path | None = None) -> list[RunRecord]:
-    """One RunRecord per (seed, sweep value); rows stream to runs.csv as
-    they are produced when out_dir is given."""
+    """One RunRecord per (sweep value, seed), sweep values outermost. When
+    out_dir is given, each finished run's rows are appended to runs.csv and
+    rewards.csv before the next run starts, and summary.csv follows the
+    last run."""
     spec.validate()
     chash = config_hash(spec)
-    cells = [("", "")]
-    if spec.sweep_param is not None:
-        cells = [(spec.sweep_param, v) for v in spec.sweep_values]
+    values = spec.sweep_values if spec.sweep_param is not None else ("",)
+    grid = [(spec.sweep_param or "", value, seed) for value in values
+            for seed in spec.seeds]
 
     out_path = Path(out_dir) if out_dir is not None else None
-    runs_file = rewards_file = None
-    runs_writer = rewards_writer = None
     checkpoint_dir = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -409,46 +411,40 @@ def run_experiment(spec: ExperimentSpec,
                     "config_hash": chash}
         (out_path / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True))
-        runs_file = open(out_path / "runs.csv", "w", newline="")
-        runs_writer = csv.writer(runs_file)
-        runs_writer.writerow(RUNS_COLUMNS)
-        rewards_file = open(out_path / "rewards.csv", "w", newline="")
-        rewards_writer = csv.writer(rewards_file)
-        rewards_writer.writerow(("run_id", "episode", "reward"))
+        _write_rows(out_path / "runs.csv", [RUNS_COLUMNS], "w")
+        _write_rows(out_path / "rewards.csv", [("run_id", "episode", "reward")],
+                    "w")
 
     records: list[RunRecord] = []
-    try:
-        index = 0
-        for sweep_param, sweep_value in cells:
-            cfg = spec.scenario
-            if sweep_param:
-                cfg = cfg.replace(**{sweep_param: sweep_value})
-            for seed in spec.seeds:
-                run_id = f"run{index:04d}"
-                index += 1
-                record = _run_single(spec, cfg, run_id, sweep_param,
-                                     sweep_value, seed, chash, checkpoint_dir)
-                records.append(record)
-                if runs_writer is not None:
-                    runs_writer.writerow(_record_row(record))
-                    runs_file.flush()
-                    for episode, reward in enumerate(record.rewards, start=1):
-                        rewards_writer.writerow(
-                            (record.run_id, episode, repr(float(reward))))
-                    rewards_file.flush()
-    finally:
-        if runs_file is not None:
-            runs_file.close()
-        if rewards_file is not None:
-            rewards_file.close()
+    for index, (sweep_param, sweep_value, seed) in enumerate(grid):
+        cfg = (spec.scenario.replace(**{sweep_param: sweep_value})
+               if sweep_param else spec.scenario)
+        record = _run_single(spec, cfg, f"run{index:04d}", sweep_param,
+                             sweep_value, seed, chash, checkpoint_dir)
+        records.append(record)
+        if out_path is not None:
+            _write_rows(out_path / "runs.csv", [_record_row(record)])
+            _write_rows(out_path / "rewards.csv",
+                        [(record.run_id, episode, repr(float(reward)))
+                         for episode, reward in enumerate(record.rewards,
+                                                          start=1)])
 
     if out_path is not None:
-        write_summary(records, out_path / "summary.csv")
+        summary = [[_fmt(row[col]) for col in SUMMARY_COLUMNS]
+                   for row in summarize(records)]
+        _write_rows(out_path / "summary.csv", [SUMMARY_COLUMNS] + summary, "w")
     return records
 
 
+def _write_rows(path: Path, rows, mode: str = "a") -> None:
+    """Write CSV rows to path, appending by default. The file is closed
+    again on return, so the rows outlive a later crash of the run."""
+    with open(path, mode, newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _record_row(r: RunRecord) -> list[str]:
-    if len(r.rewards) < 50:
+    if len(r.rewards) < CONVERGENCE_WINDOW:
         to95 = None  # series too short for the metric
     elif r.episodes_to_95 is None:
         to95 = "not_converged"
@@ -490,14 +486,6 @@ def summarize(records: list[RunRecord]) -> list[dict]:
             "episodes_to_95_mean": (float(np.mean(conv)) if conv else None),
         })
     return rows
-
-
-def write_summary(records: list[RunRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summarize(records):
-            writer.writerow([_fmt(row[col]) for col in SUMMARY_COLUMNS])
 
 
 def read_runs_csv(path: str | Path) -> list[dict]:

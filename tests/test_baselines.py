@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mbnsim.baselines import (InstanceSizeError, SearchLimits,
-                              enumerate_optimal, make_sbn_scenario,
-                              make_sc_scenario, optimal_allocation)
+from mbnsim.baselines import (InstanceSizeError, enumerate_optimal,
+                              make_sbn_scenario, make_sc_scenario,
+                              optimal_allocation)
 from mbnsim.config import ScenarioConfig
 from mbnsim.env import (Allocation, JnsaEnv, ScalarizedObjective, objective,
                         objective_breakdown)
@@ -116,14 +116,12 @@ class TestSizeGuards:
     def test_too_many_users(self):
         state = desk_state(n_fembb=10, n_eurllc=10)
         with pytest.raises(InstanceSizeError, match="search space"):
-            optimal_allocation(state, ScalarizedObjective.for_state(state),
-                               SearchLimits(max_users=12))
+            optimal_allocation(state, ScalarizedObjective.for_state(state))
 
     def test_too_many_subchannels(self):
         state = desk_state(subchannels_per_band=12)
         with pytest.raises(InstanceSizeError):
-            optimal_allocation(state, ScalarizedObjective.for_state(state),
-                               SearchLimits(max_subchannels=10))
+            optimal_allocation(state, ScalarizedObjective.for_state(state))
 
     def test_enumeration_guard(self):
         state = desk_state(n_fembb=4, n_eurllc=4, subchannels_per_band=8,

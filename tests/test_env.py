@@ -99,13 +99,16 @@ class TestAllocation:
         ([None], [7]),
         ("a", [None]),
         ([None], {"0": [0, 0, 0]}),
+        ([[10**30, 0]], [None]),
+        ([None], [[0, 0, 10**30]]),
     ], ids=["negative_subchannel", "subchannel_past_c", "minislot_past_m",
             "fembb_subchannel_past_c", "empty_lists", "two_punctures_one_user",
             "negative_fembb_pair", "fembb_one_index", "fembb_three_indices",
             "fembb_scalar", "fembb_string", "fembb_float", "fembb_bool",
             "puncture_two_indices", "puncture_four_indices", "puncture_float",
             "puncture_bool", "puncture_scalar", "fembb_not_a_list",
-            "punctures_not_a_list"])
+            "punctures_not_a_list", "fembb_index_overflows_int",
+            "puncture_host_overflows_int"])
     def test_from_json_rejects_out_of_range_indices(self, fembb, punctures):
         data = Allocation(1, 1, 4, 3).to_json()
         data["fembb"], data["punctures"] = fembb, punctures
@@ -121,12 +124,19 @@ class TestAllocation:
         ("n_eurllc", KeyError),
         ("fembb", KeyError),
         ("punctures", KeyError),
+        (None, []),
+        (None, "x"),
+        (None, None),
     ], ids=["count_string", "count_negative", "count_bool", "count_float",
             "count_null", "missing_n_eurllc", "missing_fembb",
-            "missing_punctures"])
+            "missing_punctures", "document_list", "document_string",
+            "document_null"])
     def test_from_json_rejects_bad_header(self, key, value):
+        # key None replaces the whole document with value
         data = Allocation(1, 1, 4, 3).to_json()
-        if value is KeyError:
+        if key is None:
+            data = value
+        elif value is KeyError:
             del data[key]
         else:
             data[key] = value
@@ -190,7 +200,7 @@ class TestObjective:
     def test_rate_only_weights_equal_normalized_sum_rate(self):
         state = single_rbs_state(n_fembb=2, n_eurllc=0, aerial_fraction=0.0,
                                  hotspot_fraction=0.0)
-        weights = ScalarizedObjective(weight_rate=1.0, weight_reliability=0.0,
+        weights = ScalarizedObjective(weight_rate=1.0,
                                       rate_scale_bps=1e8,
                                       reliability_scale=1.0)
         alloc = Allocation(2, 0, state.n_subchannels, state.n_minislots)
@@ -203,7 +213,7 @@ class TestObjective:
     def test_puncturing_free_subchannels_never_moves_rate_term(self):
         state = single_rbs_state(n_fembb=1, n_eurllc=2, aerial_fraction=0.0,
                                  hotspot_fraction=0.0)
-        weights = ScalarizedObjective(weight_rate=1.0, weight_reliability=0.0,
+        weights = ScalarizedObjective(weight_rate=1.0,
                                       rate_scale_bps=1e8,
                                       reliability_scale=2.0)
         base = Allocation(1, 2, state.n_subchannels, state.n_minislots)
@@ -240,10 +250,9 @@ class TestObjective:
 
 class TestScalarizedObjective:
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            ScalarizedObjective(weight_rate=0.7, weight_reliability=0.2)
-        with pytest.raises(ValueError):
-            ScalarizedObjective(weight_rate=-0.1, weight_reliability=1.1)
+        for weight_rate in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError):
+                ScalarizedObjective(weight_rate=weight_rate)
         with pytest.raises(ValueError):
             ScalarizedObjective(rate_scale_bps=0.0)
 
@@ -359,6 +368,46 @@ class TestEnvStep:
         _, reward, _ = env.step(0)
         assert reward == -env.conflict_penalty
         assert (env.allocation.eurllc_k == -1).all()
+
+    def test_taken_eurllc_slot_rejected_with_penalty(self):
+        state = single_rbs_state(n_fembb=0, n_eurllc=2, aerial_fraction=0.0,
+                                 hotspot_fraction=0.0)
+        env = JnsaEnv(state, conflict_penalty=1.7, seed=3,
+                      refresh_fading_on_reset=False)
+        env.reset()
+        _, reward, _ = env.step(0)  # first agent takes (k 0, m 0)
+        assert reward > 0
+        alloc_before = env.allocation.copy()
+        obj_before = env.objective_value
+        _, reward, done = env.step(0)  # second agent collides on the slot
+        assert done
+        assert reward == -1.7
+        assert env.conflict_penalty_total == 1.7
+        assert env.objective_value == obj_before
+        assert env.allocation.canonical_key() == alloc_before.canonical_key()
+
+    @pytest.mark.parametrize("enforced", [True, False])
+    def test_below_target_fembb_step_follows_qos_enforcement(self, enforced):
+        state = single_rbs_state(n_fembb=2, n_eurllc=0, aerial_fraction=0.0,
+                                 hotspot_fraction=0.0)
+        state.fading[:] = 1e-15  # starve the rate
+        state.gains, state.reachable = compute_gain_tensor(
+            state.channel, state.topology, state.users, state.fading)
+        state.fembb_qos_enforced = enforced
+        env = JnsaEnv(state, seed=3, refresh_fading_on_reset=False)
+        env.reset()
+        f = state.fembb_users.index(env.current_agent)
+        before = env.objective_value
+        _, reward, _ = env.step(0)  # (bs 0, subchannel 0)
+        rate = objective_breakdown(state, env.allocation,
+                                   env.objective_cfg).fembb_rates_bps[f]
+        if enforced:
+            assert reward == -env.conflict_penalty
+            assert (env.allocation.fembb_bs == -1).all()
+        else:
+            assert 0 < rate < state.qos.fembb_min_rate_bps
+            assert env.allocation.fembb_bs[f] == 0
+            assert reward == env.objective_value - before
 
     def test_done_after_all_agents(self):
         env = JnsaEnv(make_state(), seed=5)

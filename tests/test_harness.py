@@ -169,6 +169,28 @@ class TestRunExperiment:
         assert (tmp_path / "a/summary.csv").read_bytes() == \
             (tmp_path / "b/summary.csv").read_bytes()
 
+    def test_crash_keeps_finished_runs_on_disk(self, tmp_path, monkeypatch):
+        from mbnsim import harness
+        real_run_single = harness._run_single
+        calls = []
+
+        def crash_on_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected crash")
+            return real_run_single(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_run_single", crash_on_second)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            run_experiment(tiny_spec(seeds=(1, 2)), tmp_path)
+        rows = read_runs_csv(tmp_path / "runs.csv")
+        assert [(row["run_id"], row["seed"]) for row in rows] == [("run0000", 1)]
+        with open(tmp_path / "rewards.csv", newline="") as fh:
+            rewards = list(csv.reader(fh))
+        assert rewards[0] == ["run_id", "episode", "reward"]
+        assert [row[:2] for row in rewards[1:]] == [
+            ["run0000", str(e)] for e in range(1, 61)]
+
     def test_different_seed_differs(self, tmp_path):
         records_a = run_experiment(tiny_spec(seeds=(1,)))
         records_b = run_experiment(tiny_spec(seeds=(2,)))
