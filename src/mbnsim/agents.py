@@ -19,14 +19,8 @@ class Algorithm(Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Algorithm":
-        key = name.strip().lower().replace("-", "_")
-        aliases = {"dqn": cls.DQN, "double_dqn": cls.DOUBLE_DQN,
-                   "double": cls.DOUBLE_DQN, "ddqn": cls.DOUBLE_DQN,
-                   "duel_dqn": cls.DUEL_DQN, "dueldqn": cls.DUEL_DQN,
-                   "dueling": cls.DUEL_DQN}
-        if key not in aliases:
-            raise ValueError(f"unknown algorithm: {name}")
-        return aliases[key]
+        """The algorithm with canonical name `name`; ValueError otherwise."""
+        return cls(name)
 
     @property
     def network_kind(self) -> str:

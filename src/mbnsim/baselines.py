@@ -1,4 +1,4 @@
-"""Exact allocation baselines and ablation scenarios.
+"""Exact allocation baselines.
 
 `optimal_allocation` maximizes the scalarized objective by depth-first
 branch and bound: FeMBB users branch over (base station, subchannel) pairs
@@ -20,9 +20,9 @@ import math
 import numpy as np
 
 from .env import (Allocation, ScalarizedObjective, eurllc_error, eurllc_term,
-                  fembb_term, objective_breakdown, resolve_eurllc_host)
-from .phy import sinr
-from .scenario import NetworkState, _gain_log_bounds
+                  fembb_term, free_gamma, objective_breakdown,
+                  resolve_eurllc_host)
+from .scenario import NetworkState
 from .service import shannon_rate
 
 
@@ -44,11 +44,6 @@ def _static_space_bound(state: NetworkState) -> float:
     for _ in state.eurllc_users:
         bound *= 1 + c * m
     return bound
-
-
-def _free_gamma(state: NetworkState, user: int, j: int, k: int) -> float:
-    return sinr(state.subchannel_power_w(j), state.gains[user, j, k], 0.0,
-                state.noise_w(j))
 
 
 def _suffix_sums(values) -> np.ndarray:
@@ -76,12 +71,12 @@ def optimal_allocation(state: NetworkState,
     # weighted per-user terms at interference- and puncture-free SINR
     def fembb_value(user: int, j: int, k: int) -> float:
         rate = shannon_rate(state.frame_for(j).subchannel_bandwidth_hz,
-                            _free_gamma(state, user, j, k))
+                            free_gamma(state, user, j, k))
         return weights.weight_rate * fembb_term(state, weights, rate, n_f)
 
     def eurllc_value(user: int, host: int, k: int) -> float:
         eps = eurllc_error(state.frame_for(host),
-                           _free_gamma(state, user, host, k))
+                           free_gamma(state, user, host, k))
         return weights.weight_reliability * eurllc_term(state, weights, eps, n_u)
 
     unassigned = weights.weight_rate * fembb_term(state, weights, 0.0,
@@ -252,35 +247,3 @@ def enumerate_optimal(state: NetworkState,
     assert best_alloc is not None
     return best_alloc, best_val
 
-
-# ---------------------------------------------------------------------------
-# Ablation scenarios
-
-def make_sbn_scenario(state: NetworkState) -> NetworkState:
-    """Single-band network: same users, THz stations removed."""
-    new = state.copy()
-    new.topology.tbs_list = []
-    new.gains = new.gains[:, :1, :].copy()
-    new.reachable = new.reachable[:, :1].copy()
-    new.gain_log_bounds = _gain_log_bounds(new.gains, new.reachable)
-    new.serving_bs = None
-    return new
-
-
-def make_sc_scenario(state: NetworkState,
-                     qos_enforced: bool = True) -> NetworkState:
-    """Single-cell network: one RF station serving terrestrial users only.
-    With qos_enforced=False the FeMBB minimum-rate constraint (and its
-    penalty) is dropped from the objective."""
-    from .scenario import UserKind
-    new = make_sbn_scenario(state)
-    keep = [i for i, u in enumerate(new.users)
-            if u.kind is UserKind.TERRESTRIAL]
-    new.users = [new.users[i] for i in keep]
-    new.gains = new.gains[keep].copy()
-    new.fading = new.fading[keep].copy()
-    new.reachable = new.reachable[keep].copy()
-    new.gain_log_bounds = _gain_log_bounds(new.gains, new.reachable)
-    new.fembb_qos_enforced = qos_enforced
-    new.serving_bs = None
-    return new

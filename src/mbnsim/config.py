@@ -94,6 +94,8 @@ class ScenarioConfig:
             raise ConfigError("base-station powers must be > 0")
         if not 0.0 <= self.weight_rate <= 1.0:
             raise ConfigError("weight_rate must lie in [0, 1]")
+        if self.violation_penalty < 0 or self.conflict_penalty < 0:
+            raise ConfigError("violation_penalty and conflict_penalty must be >= 0")
 
     def channel_params(self) -> ChannelParams:
         return ChannelParams(

@@ -200,6 +200,9 @@ class ScalarizedObjective:
                              f"got {self.weight_rate!r}")
         if self.rate_scale_bps <= 0 or self.reliability_scale <= 0:
             raise ValueError("normalizers must be > 0")
+        if not self.violation_penalty >= 0:
+            raise ValueError(f"violation_penalty must be >= 0, "
+                             f"got {self.violation_penalty!r}")
 
     @property
     def weight_reliability(self) -> float:
@@ -215,14 +218,11 @@ class ScalarizedObjective:
         best = 0.0
         for i in range(state.n_users):
             for j in range(state.n_bs):
-                if not state.reachable[i, j]:
-                    continue
-                power = state.subchannel_power_w(j)
-                noise = state.noise_w(j)
-                w = state.frame_for(j).subchannel_bandwidth_hz
-                g = state.gains[i, j, :].max()
-                if g > 0:
-                    best = max(best, shannon_rate(w, power * g / noise))
+                if state.reachable[i, j]:
+                    k = int(state.gains[i, j].argmax())
+                    best = max(best, shannon_rate(
+                        state.frame_for(j).subchannel_bandwidth_hz,
+                        free_gamma(state, i, j, k)))
         if best <= 0:
             best = state.qos.fembb_min_rate_bps
         n_f = max(len(state.fembb_users), 1)
@@ -248,6 +248,12 @@ class ObjectiveBreakdown:
     @property
     def eurllc_feasible_count(self) -> int:
         return int(self.eurllc_ok.sum())
+
+
+def free_gamma(state: NetworkState, user: int, j: int, k: int) -> float:
+    """SINR of user's link on (bs j, subchannel k) with no interference."""
+    return sinr(state.subchannel_power_w(j), state.gains[user, j, k], 0.0,
+                state.noise_w(j))
 
 
 def link_gamma(state: NetworkState, active: np.ndarray, user: int, j: int,
@@ -409,7 +415,7 @@ class JnsaEnv:
         self._alloc = Allocation(len(self.fembb_ids), len(self.eurllc_ids),
                                  state.n_subchannels, state.n_minislots)
         self._norm_gains = np.zeros_like(state.gains)
-        self._obj_value = 0.0
+        self._breakdown: ObjectiveBreakdown | None = None  # set by reset
         self.conflict_penalty_total = 0.0
 
     # -- episode control ---------------------------------------------------
@@ -427,7 +433,8 @@ class JnsaEnv:
         self._alloc = Allocation(len(self.fembb_ids), len(self.eurllc_ids),
                                  self.state.n_subchannels,
                                  self.state.n_minislots)
-        self._obj_value = objective(self.state, self._alloc, self.objective_cfg)
+        self._breakdown = objective_breakdown(self.state, self._alloc,
+                                              self.objective_cfg)
         self.conflict_penalty_total = 0.0
         if self.done:
             return np.zeros(0)
@@ -450,8 +457,14 @@ class JnsaEnv:
         return self._alloc
 
     @property
+    def breakdown(self) -> ObjectiveBreakdown:
+        """Breakdown of the committed allocation. An accepted step replaces
+        it with a new object; none is ever mutated."""
+        return self._breakdown
+
+    @property
     def objective_value(self) -> float:
-        return self._obj_value
+        return self._breakdown.value
 
     def user_class(self, user: int) -> UserClass:
         return self.state.users[user].user_class
@@ -533,8 +546,8 @@ class JnsaEnv:
             accepted = ((br.fembb_ok[i] or not state.fembb_qos_enforced)
                         if fembb else br.eurllc_ok[i])
         if accepted:
-            reward = br.value - self._obj_value
-            self._alloc, self._obj_value = candidate, br.value
+            reward = br.value - self._breakdown.value
+            self._alloc, self._breakdown = candidate, br
         else:
             reward = -self.conflict_penalty
             self.conflict_penalty_total += self.conflict_penalty
@@ -582,9 +595,9 @@ def apply_mobility(state: NetworkState, elapsed_s: float,
     shift = speed_mps * elapsed_s
     if shift == 0.0:
         return new
-    bs_list = new.topology.bs_list
+    stations = new.topology.stations
     for i, user in enumerate(new.users):
-        anchor = bs_list[int(new.serving_bs[i])].position
+        anchor = stations[int(new.serving_bs[i])].position
         direction = user.position - anchor
         norm = float(np.linalg.norm(direction))
         if norm == 0.0:

@@ -30,12 +30,13 @@ import numpy as np
 
 from . import __version__
 from .agents import Algorithm, DqnTrainer, ExplorationSchedule, TrainerConfig
-from .baselines import make_sbn_scenario, make_sc_scenario, optimal_allocation
+from .baselines import optimal_allocation
 from .config import ConfigError, ScenarioConfig
 from .env import (Allocation, JnsaEnv, ScalarizedObjective, apply_mobility,
                   attach_serving, objective_breakdown, perturb_csi)
 from .nets import save_checkpoint
-from .scenario import NetworkState, UserClass, generate_scenario
+from .scenario import (NetworkState, UserClass, generate_scenario,
+                       make_sbn_scenario, make_sc_scenario)
 
 ALGORITHMS = ("dqn", "double_dqn", "duel_dqn", "optimal")
 ENV_VARIANTS = ("mbn", "sbn", "sc", "sc_noqos")
@@ -202,15 +203,15 @@ def train_policies(env: JnsaEnv, algorithm: Algorithm, episodes: int,
 
 
 def greedy_rollout(env: JnsaEnv, fembb_model, eurllc_model):
-    """Play one episode greedily; returns (allocation, objective breakdown)."""
+    """Play one episode greedily; returns (allocation, objective breakdown).
+    The breakdown is the env's own score of its committed allocation."""
     obs = env.reset()
     while not env.done:
         model = (fembb_model
                  if env.user_class(env.current_agent) is UserClass.FEMBB
                  else eurllc_model)
         obs, _, _ = env.step(int(np.argmax(model.forward(obs))))
-    br = objective_breakdown(env.state, env.allocation, env.objective_cfg)
-    return env.allocation.copy(), br
+    return env.allocation.copy(), env.breakdown
 
 
 def evaluate_policies(state: NetworkState, objective_cfg: ScalarizedObjective,

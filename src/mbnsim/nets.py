@@ -169,14 +169,6 @@ def build_network(kind: str, input_dim: int, hidden_sizes, action_count: int,
     return cls(input_dim, tuple(hidden_sizes), action_count, rng)
 
 
-def get_flat(model) -> np.ndarray:
-    return model.flat.copy()
-
-
-def set_flat(model, flat: np.ndarray) -> None:
-    model.flat[...] = np.reshape(flat, model.flat.shape)
-
-
 def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
     """Scale the gradient so its L2 norm is at most `bound`."""
     norm = float(np.linalg.norm(grad))

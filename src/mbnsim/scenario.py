@@ -2,9 +2,11 @@
 
 A scenario is frozen geometry (one RF base station at the cell center plus
 scattered small-coverage THz base stations, users drawn in the disc) with a
-precomputed gain tensor of shape (n_users, n_bs, n_subchannels). RF links
-carry unit-mean exponential small-scale fading per (user, subchannel),
-redrawn per episode and fixed within it; THz links are deterministic.
+precomputed gain tensor of shape (n_users, n_bs, n_subchannels). Station 0
+is always the RF station, so the single-band (SBN) and single-cell (SC)
+ablations keep station 0 only. RF links carry unit-mean exponential
+small-scale fading per (user, subchannel), redrawn per episode and fixed
+within it; THz links are deterministic.
 """
 
 from __future__ import annotations
@@ -46,21 +48,11 @@ class BaseStation:
     band: Band
     coverage_radius_m: float | None = None  # None: covers the whole cell
 
-    def subchannel_power_w(self, n_subchannels: int) -> float:
-        # transmit power split evenly across the band's subchannels
-        return self.max_power_w / n_subchannels
-
 
 @dataclass
 class Topology:
     cell_radius_m: float
-    rbs: BaseStation
-    tbs_list: list[BaseStation]
-    seed: int = 0
-
-    @property
-    def bs_list(self) -> list[BaseStation]:
-        return [self.rbs] + list(self.tbs_list)
+    stations: list[BaseStation]  # the RF station first, then the THz stations
 
 
 @dataclass
@@ -96,7 +88,7 @@ class NetworkState:
 
     @property
     def n_bs(self) -> int:
-        return 1 + len(self.topology.tbs_list)
+        return len(self.topology.stations)
 
     @property
     def n_subchannels(self) -> int:
@@ -116,17 +108,15 @@ class NetworkState:
         return [i for i, u in enumerate(self.users)
                 if u.user_class is UserClass.EURLLC]
 
-    def bs(self, j: int) -> BaseStation:
-        return self.topology.bs_list[j]
-
     def band_of(self, j: int) -> Band:
-        return self.bs(j).band
+        return self.topology.stations[j].band
 
     def frame_for(self, j: int) -> FrameConfig:
         return self.frame_rf if self.band_of(j) is Band.RF else self.frame_thz
 
     def subchannel_power_w(self, j: int) -> float:
-        return self.bs(j).subchannel_power_w(self.n_subchannels)
+        # transmit power split evenly across the band's subchannels
+        return self.topology.stations[j].max_power_w / self.n_subchannels
 
     def noise_w(self, j: int) -> float:
         return noise_power_w(self.channel,
@@ -167,13 +157,13 @@ def compute_gain_tensor(channel: ChannelParams, topology: Topology,
                         users: list[UserProfile],
                         fading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recompute (gains, reachable) from geometry and the given RF fading."""
-    bs_list = topology.bs_list
+    stations = topology.stations
     c = channel.subchannels_per_band
-    gains = np.zeros((len(users), len(bs_list), c))
-    reachable = np.zeros((len(users), len(bs_list)), dtype=bool)
+    gains = np.zeros((len(users), len(stations), c))
+    reachable = np.zeros((len(users), len(stations)), dtype=bool)
     thz_freqs = [thz_subchannel_frequency(channel, k + 1) for k in range(c)]
     for i, user in enumerate(users):
-        for j, bs in enumerate(bs_list):
+        for j, bs in enumerate(stations):
             d = _distance(user.position, bs.position)
             if bs.band is Band.RF:
                 gains[i, j] = _rf_link_gains(channel, d, fading[i])
@@ -208,18 +198,15 @@ def generate_scenario(cfg: ScenarioConfig,
     rng = np.random.default_rng(seed)
     channel = cfg.channel_params()
 
-    rbs = BaseStation(position=np.array([0.0, 0.0, BS_HEIGHT_M]),
-                      max_power_w=cfg.rbs_power_w, band=Band.RF,
-                      coverage_radius_m=None)
-    tbs_list = []
+    stations = [BaseStation(position=np.array([0.0, 0.0, BS_HEIGHT_M]),
+                            max_power_w=cfg.rbs_power_w, band=Band.RF)]
     for _ in range(cfg.n_tbs):
         x, y = _uniform_disc(rng, cfg.cell_radius_m)
-        tbs_list.append(BaseStation(position=np.array([x, y, BS_HEIGHT_M]),
+        stations.append(BaseStation(position=np.array([x, y, BS_HEIGHT_M]),
                                     max_power_w=cfg.tbs_power_w,
                                     band=Band.THZ,
                                     coverage_radius_m=cfg.tbs_coverage_m))
-    topology = Topology(cell_radius_m=cfg.cell_radius_m, rbs=rbs,
-                        tbs_list=tbs_list, seed=seed)
+    topology = Topology(cell_radius_m=cfg.cell_radius_m, stations=stations)
 
     users: list[UserProfile] = []
     uid = 0
@@ -227,14 +214,14 @@ def generate_scenario(cfg: ScenarioConfig,
                               (UserClass.EURLLC, cfg.n_eurllc)):
         n_aerial = int(round(cfg.aerial_fraction * count))
         n_terr = count - n_aerial
-        n_hot = int(round(cfg.hotspot_fraction * n_terr)) if tbs_list else 0
+        n_hot = int(round(cfg.hotspot_fraction * n_terr)) if cfg.n_tbs else 0
         for idx in range(count):
             if idx < n_aerial:
                 kind, height = UserKind.AERIAL, AERIAL_HEIGHT_M
                 x, y = _uniform_disc(rng, cfg.cell_radius_m)
             elif idx < n_aerial + n_hot:
                 kind, height = UserKind.TERRESTRIAL, TERRESTRIAL_HEIGHT_M
-                tbs = tbs_list[int(rng.integers(len(tbs_list)))]
+                tbs = stations[1 + int(rng.integers(cfg.n_tbs))]
                 x, y = _uniform_disc(rng, cfg.tbs_coverage_m,
                                      (tbs.position[0], tbs.position[1]))
             else:
@@ -268,8 +255,39 @@ def refresh_fading(state: NetworkState, rng: np.random.Generator) -> None:
     """Redraw RF small-scale fading in place and refresh the RF gain column."""
     state.fading = rng.exponential(1.0, size=state.fading.shape)
     for i, user in enumerate(state.users):
-        d = _distance(user.position, state.topology.rbs.position)
+        d = _distance(user.position, state.topology.stations[0].position)
         state.gains[i, 0] = _rf_link_gains(state.channel, d, state.fading[i])
+
+
+# ---------------------------------------------------------------------------
+# Ablation scenarios: station 0 (the RF station) alone
+
+def make_sbn_scenario(state: NetworkState) -> NetworkState:
+    """Single-band network: same users, THz stations removed."""
+    new = state.copy()
+    new.topology.stations = new.topology.stations[:1]
+    new.gains = new.gains[:, :1, :].copy()
+    new.reachable = new.reachable[:, :1].copy()
+    new.gain_log_bounds = _gain_log_bounds(new.gains, new.reachable)
+    new.serving_bs = None
+    return new
+
+
+def make_sc_scenario(state: NetworkState,
+                     qos_enforced: bool = True) -> NetworkState:
+    """Single-cell network: one RF station serving terrestrial users only.
+    With qos_enforced=False the FeMBB minimum-rate constraint (and its
+    penalty) is dropped from the objective."""
+    new = make_sbn_scenario(state)
+    keep = [i for i, u in enumerate(new.users)
+            if u.kind is UserKind.TERRESTRIAL]
+    new.users = [new.users[i] for i in keep]
+    new.gains = new.gains[keep].copy()
+    new.fading = new.fading[keep].copy()
+    new.reachable = new.reachable[keep].copy()
+    new.gain_log_bounds = _gain_log_bounds(new.gains, new.reachable)
+    new.fembb_qos_enforced = qos_enforced
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +302,7 @@ def state_to_json(state: NetworkState) -> dict:
 
     frame = asdict(state.frame_rf)
     del frame["subchannel_bandwidth_hz"]  # derived from the channel on load
+    rbs, *tbs_list = state.topology.stations
     return {
         "schema_version": STATE_SCHEMA_VERSION,
         "seed": state.seed,
@@ -292,8 +311,8 @@ def state_to_json(state: NetworkState) -> dict:
         "qos": asdict(state.qos),
         "topology": {
             "cell_radius_m": state.topology.cell_radius_m,
-            "rbs": bs_dict(state.topology.rbs),
-            "tbs_list": [bs_dict(b) for b in state.topology.tbs_list],
+            "rbs": bs_dict(rbs),
+            "tbs_list": [bs_dict(b) for b in tbs_list],
         },
         "users": [{"id": u.id, "user_class": u.user_class.value,
                    "kind": u.kind.value,
@@ -320,10 +339,10 @@ def state_from_json(data: dict) -> NetworkState:
                            coverage_radius_m=d["coverage_radius_m"])
 
     channel = ChannelParams(**data["channel"])
-    topology = Topology(cell_radius_m=data["topology"]["cell_radius_m"],
-                        rbs=bs_from(data["topology"]["rbs"]),
-                        tbs_list=[bs_from(d) for d in data["topology"]["tbs_list"]],
-                        seed=data["seed"])
+    topo = data["topology"]
+    topology = Topology(cell_radius_m=topo["cell_radius_m"],
+                        stations=[bs_from(d) for d in
+                                  [topo["rbs"], *topo["tbs_list"]]])
     users = [UserProfile(id=d["id"], user_class=UserClass(d["user_class"]),
                          kind=UserKind(d["kind"]),
                          position=np.array(d["position"], dtype=float),

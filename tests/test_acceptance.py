@@ -16,17 +16,17 @@ import numpy as np
 import pytest
 
 from mbnsim.agents import Algorithm, TrainerConfig
-from mbnsim.baselines import (enumerate_optimal, make_sc_scenario,
-                              optimal_allocation)
+from mbnsim.baselines import enumerate_optimal, optimal_allocation
 from mbnsim.config import ScenarioConfig
 from mbnsim.env import (Allocation, JnsaEnv, ScalarizedObjective, objective,
                         objective_breakdown)
 from mbnsim.harness import (ExperimentSpec, derived_seed, greedy_rollout,
                             robustness_sweep, run_experiment, train_policies)
-from mbnsim.nets import DuelingQNetwork, QNetwork, get_flat, set_flat
+from mbnsim.nets import DuelingQNetwork, QNetwork
 from mbnsim.phy import (ChannelParams, noise_power_w, rf_path_gain, sinr,
                         thz_path_gain, thz_subchannel_frequency)
-from mbnsim.scenario import compute_gain_tensor, generate_scenario
+from mbnsim.scenario import (compute_gain_tensor, generate_scenario,
+                             make_sc_scenario)
 from mbnsim.service import (FrameConfig, QosTargets, channel_dispersion,
                             decoding_error_probability, eurllc_feasible,
                             gaussian_q, punctured_rate, shannon_rate)
@@ -178,7 +178,7 @@ def _finite_difference_error(model, seed: int) -> float:
     targets = rng.normal(size=5)
 
     def loss_at(flat):
-        set_flat(model, flat)
+        model.flat[...] = flat
         q = model.forward(batch)
         err = q[np.arange(5), actions] - targets
         return float(np.mean(err ** 2))
@@ -189,14 +189,14 @@ def _finite_difference_error(model, seed: int) -> float:
     dq = np.zeros_like(q)
     dq[np.arange(5), actions] = 2.0 * err / 5
     analytic = np.concatenate([g.ravel() for g in model.backward(cache, dq)])
-    flat = get_flat(model)
+    flat = model.flat.copy()
     numeric = np.zeros_like(flat)
     h = 1e-5
     for i in range(flat.size):
         bump = np.zeros_like(flat)
         bump[i] = h
         numeric[i] = (loss_at(flat + bump) - loss_at(flat - bump)) / (2 * h)
-    set_flat(model, flat)
+    model.flat[...] = flat
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1.0)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

@@ -14,8 +14,8 @@ from mbnsim.agents import (Algorithm, DqnTrainer, ExplorationSchedule,
                            td_targets)
 from mbnsim.nets import (AdamOptimizer, CheckpointError, DuelingQNetwork,
                          QNetwork, build_network, checkpoint_dict,
-                         clip_gradients, get_flat, load_checkpoint,
-                         model_from_checkpoint, save_checkpoint, set_flat)
+                         clip_gradients, load_checkpoint,
+                         model_from_checkpoint, save_checkpoint)
 
 
 def small_plain(seed=0, dims=(6, (8, 8), 4)):
@@ -183,7 +183,7 @@ def finite_difference_check(model, seed):
     targets = rng.normal(size=5)
 
     def loss_at(flat):
-        set_flat(model, flat)
+        model.flat[...] = flat
         q = model.forward(batch)
         err = q[np.arange(5), actions] - targets
         return float(np.mean(err ** 2))
@@ -196,14 +196,14 @@ def finite_difference_check(model, seed):
     analytic = np.concatenate(
         [g.ravel() for g in model.backward(cache, dq)])
 
-    flat = get_flat(model)
+    flat = model.flat.copy()
     h = 1e-5
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         bump = np.zeros_like(flat)
         bump[i] = h
         numeric[i] = (loss_at(flat + bump) - loss_at(flat - bump)) / (2 * h)
-    set_flat(model, flat)
+    model.flat[...] = flat
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1.0)
     return np.max(np.abs(analytic - numeric) / denom)
 
@@ -314,10 +314,10 @@ class TestTrainer:
         q = trainer.online.forward(np.stack([obs, obs]))[0]
         trainer.push(obs, 0, float(q[0]), np.zeros(6), True)
         trainer.push(obs, 1, float(q[1]), np.zeros(6), True)
-        before = get_flat(trainer.online).copy()
+        before = trainer.online.flat.copy()
         loss = trainer.train_step()
         assert loss == 0.0
-        assert np.array_equal(get_flat(trainer.online), before)
+        assert np.array_equal(trainer.online.flat, before)
 
     def test_fixed_transition_td_error_shrinks(self):
         trainer = make_trainer(batch_size=1, learning_rate=5e-3)
@@ -341,16 +341,16 @@ class TestTrainer:
         for i in range(8):
             trainer.push(rng.normal(size=6), i % 4, rng.normal(),
                          rng.normal(size=6), False)
-        init = get_flat(trainer.target).copy()
+        init = trainer.target.flat.copy()
         for step in range(1, 11):
             trainer.train_step()
             if step < 5:
-                assert np.array_equal(get_flat(trainer.target), init)
+                assert np.array_equal(trainer.target.flat, init)
             elif step == 5:
-                synced = get_flat(trainer.online).copy()
-                assert np.array_equal(get_flat(trainer.target), synced)
+                synced = trainer.online.flat.copy()
+                assert np.array_equal(trainer.target.flat, synced)
             elif step < 10:
-                assert np.array_equal(get_flat(trainer.target), synced)
+                assert np.array_equal(trainer.target.flat, synced)
 
     def test_bit_exact_determinism(self):
         def run(seed):
@@ -365,7 +365,7 @@ class TestTrainer:
                              rng.normal(size=6), i % 5 == 0)
                 if len(trainer.buffer) >= 4:
                     trainer.train_step()
-            return actions, get_flat(trainer.online)
+            return actions, trainer.online.flat.copy()
 
         actions_a, weights_a = run(31)
         actions_b, weights_b = run(31)
@@ -489,7 +489,7 @@ class TestCheckpoints:
         save_checkpoint(model, path, {"note": "test"})
         back = load_checkpoint(path)
         assert type(back) is type(model)
-        assert np.array_equal(get_flat(back), get_flat(model))
+        assert np.array_equal(back.flat, model.flat)
 
     def test_dimension_mismatch_rejected(self):
         data = checkpoint_dict(small_plain(seed=1))
@@ -528,12 +528,13 @@ class TestCheckpoints:
 
 
 class TestAlgorithmParsing:
-    def test_aliases(self):
-        assert Algorithm.parse("DuelDQN") is Algorithm.DUEL_DQN
-        assert Algorithm.parse("double-dqn") is Algorithm.DOUBLE_DQN
-        assert Algorithm.parse("dqn") is Algorithm.DQN
-        with pytest.raises(ValueError):
-            Algorithm.parse("a2c")
+    def test_canonical_names_only(self):
+        for algorithm in Algorithm:
+            assert Algorithm.parse(algorithm.value) is algorithm
+        for name in ("a2c", "DuelDQN", "double-dqn", "ddqn", "dueling",
+                     " dqn"):
+            with pytest.raises(ValueError):
+                Algorithm.parse(name)
 
     def test_trainer_config_validation(self):
         with pytest.raises(ValueError):

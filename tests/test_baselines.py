@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from mbnsim.baselines import (InstanceSizeError, enumerate_optimal,
-                              make_sbn_scenario, make_sc_scenario,
                               optimal_allocation)
 from mbnsim.config import ScenarioConfig
 from mbnsim.env import (Allocation, JnsaEnv, ScalarizedObjective, objective,
                         objective_breakdown)
 from mbnsim.scenario import (UserKind, compute_gain_tensor,
-                             generate_scenario)
+                             generate_scenario, make_sbn_scenario,
+                             make_sc_scenario)
 
 
 def tiny_cfg(trial: int) -> ScenarioConfig:
@@ -158,7 +158,7 @@ class TestSbnTransform:
     def test_single_station_remains(self):
         sbn = make_sbn_scenario(desk_state())
         assert sbn.n_bs == 1
-        assert sbn.topology.tbs_list == []
+        assert len(sbn.topology.stations) == 1
         assert sbn.gains.shape[1] == 1
 
     def test_thz_candidates_vanish(self):

@@ -180,11 +180,11 @@ class TestObjective:
         # independent recomputation from the service-layer formulas
         w_sub = state.channel.rf_subchannel_bandwidth_hz
         noise = noise_power_w(state.channel, w_sub)
-        power = state.topology.rbs.max_power_w / state.n_subchannels
+        power = state.topology.stations[0].max_power_w / state.n_subchannels
         d_f = np.linalg.norm(state.users[0].position
-                             - state.topology.rbs.position)
+                             - state.topology.stations[0].position)
         d_u = np.linalg.norm(state.users[1].position
-                             - state.topology.rbs.position)
+                             - state.topology.stations[0].position)
         gamma_f = power * rf_path_gain(state.channel, d_f, 1.0) / noise
         gamma_u = power * rf_path_gain(state.channel, d_u, 1.0) / noise
         rate = punctured_rate(w_sub, gamma_f, 1, state.n_minislots)
@@ -255,6 +255,15 @@ class TestScalarizedObjective:
                 ScalarizedObjective(weight_rate=weight_rate)
         with pytest.raises(ValueError):
             ScalarizedObjective(rate_scale_bps=0.0)
+
+    @pytest.mark.parametrize("penalty", [-1.0, -1e-12, float("nan")])
+    def test_negative_violation_penalty_rejected(self, penalty):
+        with pytest.raises(ValueError, match="violation_penalty"):
+            ScalarizedObjective(violation_penalty=penalty)
+        with pytest.raises(ValueError, match="violation_penalty"):
+            ScalarizedObjective.for_state(make_state(),
+                                          violation_penalty=penalty)
+        ScalarizedObjective(violation_penalty=0.0)
 
     def test_for_state_scales(self):
         state = make_state()
@@ -582,7 +591,7 @@ class TestMobility:
         state = self._served_state()
         out = apply_mobility(state, 10.0, 2.0)
         for i in range(state.n_users):
-            anchor = state.topology.bs_list[int(state.serving_bs[i])].position
+            anchor = state.topology.stations[int(state.serving_bs[i])].position
             d0 = np.linalg.norm(state.users[i].position - anchor)
             d1 = np.linalg.norm(out.users[i].position - anchor)
             assert d1 - d0 == pytest.approx(20.0, abs=1e-9)

@@ -365,6 +365,17 @@ class TestCli:
         assert err.startswith("error:")
         assert "no_such_field" in err
 
+    def test_negative_penalty_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("violation_penalty: -3\nconflict_penalty: -2\n")
+        rc = cli.main(["train", "--config", str(bad), "--episodes", "5",
+                       "--seed", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "penalty" in err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_sweep_param_exit_code(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
         rc = cli.main(["sweep", "--config", str(cfg), "--param", "bogus",
@@ -434,6 +445,15 @@ class TestConfigFile:
         save_scenario_config(cfg, path)
         from mbnsim.config import load_scenario_config
         assert load_scenario_config(path) == cfg
+
+    @pytest.mark.parametrize("field", ["violation_penalty",
+                                       "conflict_penalty"])
+    def test_negative_penalty_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: -3})
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig.desk_default().replace(**{field: -0.5})
+        assert getattr(ScenarioConfig(**{field: 0}), field) == 0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -9,6 +9,7 @@ from mbnsim.config import ScenarioConfig
 from mbnsim.phy import Band
 from mbnsim.scenario import (AERIAL_HEIGHT_M, TERRESTRIAL_HEIGHT_M, UserClass,
                              UserKind, compute_gain_tensor, generate_scenario,
+                             make_sbn_scenario, make_sc_scenario,
                              refresh_fading, state_from_json, state_to_json)
 
 
@@ -24,7 +25,7 @@ class TestGeneration:
         assert np.array_equal(a.fading, b.fading)
         for ua, ub in zip(a.users, b.users):
             assert np.array_equal(ua.position, ub.position)
-        for ta, tb in zip(a.topology.tbs_list, b.topology.tbs_list):
+        for ta, tb in zip(a.topology.stations, b.topology.stations):
             assert np.array_equal(ta.position, tb.position)
 
     def test_different_seed_differs(self):
@@ -48,15 +49,15 @@ class TestGeneration:
 
     def test_rbs_at_center(self):
         state = generate_scenario(desk_cfg(), seed=5)
-        assert np.allclose(state.topology.rbs.position[:2], 0.0)
-        assert state.topology.rbs.band is Band.RF
+        assert np.allclose(state.topology.stations[0].position[:2], 0.0)
+        assert state.topology.stations[0].band is Band.RF
 
     def test_everything_inside_disc(self):
         cfg = desk_cfg(n_tbs=8, n_fembb=12, n_eurllc=12)
         state = generate_scenario(cfg, seed=11)
         for u in state.users:
             assert np.hypot(u.position[0], u.position[1]) <= cfg.cell_radius_m + 1e-9
-        for t in state.topology.tbs_list:
+        for t in state.topology.stations[1:]:
             assert np.hypot(t.position[0], t.position[1]) <= cfg.cell_radius_m + 1e-9
             assert t.coverage_radius_m == cfg.tbs_coverage_m
             assert t.band is Band.THZ
@@ -142,6 +143,21 @@ class TestJsonSnapshot:
         assert [u.position.tolist() for u in back.users] == \
             [u.position.tolist() for u in state.users]
 
+    def test_topology_layout_is_rbs_then_tbs_list(self):
+        state = generate_scenario(desk_cfg(), seed=41)
+        topo = state_to_json(state)["topology"]
+        assert set(topo) == {"cell_radius_m", "rbs", "tbs_list"}
+        assert topo["rbs"]["band"] == Band.RF.value
+        assert [t["band"] for t in topo["tbs_list"]] == [Band.THZ.value] * 2
+
+    def test_round_trip_keeps_station_order(self):
+        state = generate_scenario(desk_cfg(n_tbs=5), seed=41)
+        back = state_from_json(json.loads(json.dumps(state_to_json(state))))
+        assert [(s.position.tolist(), s.band, s.max_power_w,
+                 s.coverage_radius_m) for s in back.topology.stations] == \
+            [(s.position.tolist(), s.band, s.max_power_w, s.coverage_radius_m)
+             for s in state.topology.stations]
+
     def test_unknown_schema_rejected(self):
         state = generate_scenario(desk_cfg(), seed=43)
         data = state_to_json(state)
@@ -156,3 +172,30 @@ class TestJsonSnapshot:
         clone.users[0].position[0] = 999.0
         assert state.gains[0, 0, 0] != 123.0
         assert state.users[0].position[0] != 999.0
+
+
+class TestAblationTransforms:
+    @pytest.mark.parametrize("transform", [
+        make_sbn_scenario, make_sc_scenario,
+        lambda s: make_sc_scenario(s, qos_enforced=False)],
+        ids=["sbn", "sc", "sc_noqos"])
+    def test_keeps_station_zero_only(self, transform):
+        state = generate_scenario(desk_cfg(), seed=53)
+        new = transform(state)
+        assert new.n_bs == 1 and len(new.topology.stations) == 1
+        assert new.topology.stations[0].band is Band.RF
+        assert np.array_equal(new.topology.stations[0].position,
+                              state.topology.stations[0].position)
+        assert new.gains.shape[1] == new.reachable.shape[1] == 1
+
+    @pytest.mark.parametrize("transform", [make_sbn_scenario,
+                                           make_sc_scenario],
+                             ids=["sbn", "sc"])
+    def test_source_state_unchanged(self, transform):
+        state = generate_scenario(desk_cfg(), seed=53)
+        before = state_to_json(state)
+        stations, users = state.topology.stations, state.users
+        transform(state)
+        assert state.topology.stations is stations and state.users is users
+        assert len(stations) == 3
+        assert state_to_json(state) == before
