@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phy import sinr
+from .phy import Band, noise_power_w, sinr
 from .scenario import (NetworkState, UserClass, compute_gain_tensor,
                        refresh_fading)
 from .service import (FrameConfig, decoding_error_probability, punctured_rate,
@@ -240,6 +240,8 @@ class ObjectiveBreakdown:
     fembb_ok: np.ndarray          # assigned and meeting the rate target
     eurllc_errors: np.ndarray     # decoding error per eURLLC user (1 if unserved)
     eurllc_ok: np.ndarray         # punctured a slot and meeting the error target
+    fembb_terms: tuple            # unweighted objective share per FeMBB user
+    eurllc_terms: tuple           # unweighted objective share per eURLLC user
 
     @property
     def fembb_total_rate_bps(self) -> float:
@@ -256,17 +258,39 @@ def free_gamma(state: NetworkState, user: int, j: int, k: int) -> float:
                 state.noise_w(j))
 
 
-def link_gamma(state: NetworkState, active: np.ndarray, user: int, j: int,
-               k: int) -> float:
+class _Stations:
+    """Per-station constants of a state: the values `NetworkState.band_of`,
+    `subchannel_power_w`, `noise_w` and `frame_for` give, read in one pass
+    per scoring call rather than once per link and per interferer. Frame
+    and noise depend on the band alone, so each is computed once per
+    band."""
+
+    __slots__ = ("band", "power", "noise", "frame")
+
+    def __init__(self, state: NetworkState):
+        stations, c = state.topology.stations, state.n_subchannels
+        rf, thz = state.frame_rf, state.frame_thz
+        noise_rf, noise_thz = (
+            noise_power_w(state.channel, frame.subchannel_bandwidth_hz)
+            for frame in (rf, thz))
+        self.band = [bs.band for bs in stations]
+        self.power = [bs.max_power_w / c for bs in stations]
+        self.frame = [rf if b is Band.RF else thz for b in self.band]
+        self.noise = [noise_rf if b is Band.RF else noise_thz
+                      for b in self.band]
+
+
+def link_gamma(state: NetworkState, stations: _Stations,
+               active: list[list[bool]], user: int, j: int, k: int) -> float:
     """SINR of user's link on (bs j, subchannel k); co-channel interference
-    comes from other same-band stations active on k."""
-    band = state.band_of(j)
+    comes from other same-band stations active on k (`active[j2][k]`)."""
+    gains, band = state.gains, stations.band[j]
     interference = 0.0
-    for j2 in range(state.n_bs):
-        if j2 != j and active[j2, k] and state.band_of(j2) is band:
-            interference += state.subchannel_power_w(j2) * state.gains[user, j2, k]
-    return sinr(state.subchannel_power_w(j), state.gains[user, j, k],
-                interference, state.noise_w(j))
+    for j2, band2 in enumerate(stations.band):
+        if j2 != j and band2 is band and active[j2][k]:
+            interference += stations.power[j2] * gains[user, j2, k]
+    return sinr(stations.power[j], gains[user, j, k], interference,
+                stations.noise[j])
 
 
 def resolve_eurllc_host(state: NetworkState, occupied: np.ndarray, user: int,
@@ -318,47 +342,110 @@ def eurllc_term(state: NetworkState, weights: ScalarizedObjective, eps: float,
 
 def objective_breakdown(state: NetworkState, alloc: Allocation,
                         weights: ScalarizedObjective) -> ObjectiveBreakdown:
+    """Score an allocation from scratch: the reference every faster path
+    must match bit for bit."""
     alloc.validate()
     n_bs = state.n_bs
-    occupied = alloc.occupied(n_bs)
-    punct = alloc.puncture_counts(n_bs)
-    active = occupied | (punct > 0)
-    minislots = state.n_minislots
-    fembb_ids = state.fembb_users
-    eurllc_ids = state.eurllc_users
+    return _score(state, _Stations(state), weights, alloc,
+                  alloc.occupied(n_bs), alloc.puncture_counts(n_bs))
+
+
+class _Scorer:
+    """The objective's per-user rule on fixed occupancy and puncture grids.
+    `fembb`/`eurllc` score one assigned user into the per-user arrays and
+    return its unweighted share of the objective; `breakdown` sums the
+    shares in user order. A share is computed from the value read back
+    from its array, so it is an np.float64 where the reference's always
+    was: the value's type, and so its repr, never depends on the path."""
+
+    def __init__(self, state: NetworkState, stations: _Stations,
+                 weights: ScalarizedObjective, occupied: np.ndarray,
+                 punct: np.ndarray, rates: np.ndarray, fembb_ok: np.ndarray,
+                 errors: np.ndarray, eurllc_ok: np.ndarray):
+        self.state, self.stations, self.weights = state, stations, weights
+        self.active = (occupied | (punct > 0)).tolist()
+        self.punct = punct
+        self.rates, self.fembb_ok = rates, fembb_ok
+        self.errors, self.eurllc_ok = errors, eurllc_ok
+
+    def fembb(self, f: int, user: int, j: int, k: int) -> float:
+        state, rates = self.state, self.rates
+        gamma = link_gamma(state, self.stations, self.active, user, j, k)
+        rates[f] = punctured_rate(
+            self.stations.frame[j].subchannel_bandwidth_hz, gamma,
+            int(self.punct[j, k]), state.n_minislots)
+        self.fembb_ok[f] = rates[f] >= state.qos.fembb_min_rate_bps
+        return fembb_term(state, self.weights, rates[f], len(rates))
+
+    def eurllc(self, q: int, user: int, host: int, k: int) -> float:
+        state, errors = self.state, self.errors
+        gamma = link_gamma(state, self.stations, self.active, user, host, k)
+        errors[q] = eurllc_error(self.stations.frame[host], gamma)
+        self.eurllc_ok[q] = errors[q] <= state.qos.eurllc_max_error
+        return eurllc_term(state, self.weights, errors[q], len(errors))
+
+    def breakdown(self, fembb_terms: list, eurllc_terms: list
+                  ) -> ObjectiveBreakdown:
+        s_rate = 0.0
+        for term in fembb_terms:
+            s_rate += term
+        s_rel = 0.0
+        for term in eurllc_terms:
+            s_rel += term
+        value = (self.weights.weight_rate * s_rate
+                 + self.weights.weight_reliability * s_rel)
+        return ObjectiveBreakdown(value, self.rates, self.fembb_ok,
+                                  self.errors, self.eurllc_ok,
+                                  tuple(fembb_terms), tuple(eurllc_terms))
+
+
+def _score(state: NetworkState, stations: _Stations,
+           weights: ScalarizedObjective, alloc: Allocation,
+           occupied: np.ndarray, punct: np.ndarray) -> ObjectiveBreakdown:
+    """Breakdown of a valid allocation with its occupancy and puncture
+    grids, every user scored."""
+    fembb_ids, eurllc_ids = state.fembb_users, state.eurllc_users
     n_f, n_u = len(fembb_ids), len(eurllc_ids)
+    scorer = _Scorer(state, stations, weights, occupied, punct,
+                     np.zeros(n_f), np.zeros(n_f, dtype=bool),
+                     np.ones(n_u), np.zeros(n_u, dtype=bool))
+    fembb_terms = [
+        fembb_term(state, weights, 0.0, n_f) if j < 0
+        else scorer.fembb(f, user, j, k)
+        for f, (user, j, k) in enumerate(zip(
+            fembb_ids, alloc.fembb_bs.tolist(), alloc.fembb_k.tolist()))]
+    eurllc_terms = [
+        eurllc_term(state, weights, 1.0, n_u) if k < 0
+        else scorer.eurllc(q, user, host, k)
+        for q, (user, host, k) in enumerate(zip(
+            eurllc_ids, alloc.eurllc_host.tolist(), alloc.eurllc_k.tolist()))]
+    return scorer.breakdown(fembb_terms, eurllc_terms)
 
-    rates = np.zeros(n_f)
-    fembb_ok = np.zeros(n_f, dtype=bool)
-    s_rate = 0.0
-    for f, user in enumerate(fembb_ids):
-        j = int(alloc.fembb_bs[f])
-        if j < 0:
-            s_rate += fembb_term(state, weights, 0.0, n_f)
-            continue
-        k = int(alloc.fembb_k[f])
-        gamma = link_gamma(state, active, user, j, k)
-        w = state.frame_for(j).subchannel_bandwidth_hz
-        rates[f] = punctured_rate(w, gamma, int(punct[j, k]), minislots)
-        fembb_ok[f] = rates[f] >= state.qos.fembb_min_rate_bps
-        s_rate += fembb_term(state, weights, rates[f], n_f)
 
-    errors = np.ones(n_u)
-    eurllc_ok = np.zeros(n_u, dtype=bool)
-    s_rel = 0.0
-    for q, user in enumerate(eurllc_ids):
-        k = int(alloc.eurllc_k[q])
-        if k < 0:
-            s_rel += eurllc_term(state, weights, 1.0, n_u)
-            continue
-        host = int(alloc.eurllc_host[q])
-        gamma = link_gamma(state, active, user, host, k)
-        errors[q] = eurllc_error(state.frame_for(host), gamma)
-        eurllc_ok[q] = errors[q] <= state.qos.eurllc_max_error
-        s_rel += eurllc_term(state, weights, errors[q], n_u)
-
-    value = weights.weight_rate * s_rate + weights.weight_reliability * s_rel
-    return ObjectiveBreakdown(value, rates, fembb_ok, errors, eurllc_ok)
+def _rescore(prev: ObjectiveBreakdown, state: NetworkState,
+             stations: _Stations, weights: ScalarizedObjective,
+             alloc: Allocation, fembb_ids: list[int], eurllc_ids: list[int],
+             occupied: np.ndarray, punct: np.ndarray, j: int,
+             k: int) -> ObjectiveBreakdown:
+    """Breakdown of `alloc` after one assignment or puncture at (bs j,
+    subchannel k), given the breakdown `prev` of the allocation before it.
+    Only links on subchannel k in j's band see the change, so only their
+    users are scored again; every other user keeps its cached share."""
+    scorer = _Scorer(state, stations, weights, occupied, punct,
+                     prev.fembb_rates_bps.copy(), prev.fembb_ok.copy(),
+                     prev.eurllc_errors.copy(), prev.eurllc_ok.copy())
+    band_of, band = stations.band, stations.band[j]
+    fembb_terms = list(prev.fembb_terms)
+    for f, (j2, k2) in enumerate(zip(alloc.fembb_bs.tolist(),
+                                     alloc.fembb_k.tolist())):
+        if k2 == k and band_of[j2] is band:
+            fembb_terms[f] = scorer.fembb(f, fembb_ids[f], j2, k)
+    eurllc_terms = list(prev.eurllc_terms)
+    for q, (host, k2) in enumerate(zip(alloc.eurllc_host.tolist(),
+                                       alloc.eurllc_k.tolist())):
+        if k2 == k and band_of[host] is band:
+            eurllc_terms[q] = scorer.eurllc(q, eurllc_ids[q], host, k)
+    return scorer.breakdown(fembb_terms, eurllc_terms)
 
 
 def objective(state: NetworkState, alloc: Allocation,
@@ -388,6 +475,10 @@ def attach_serving(state: NetworkState, alloc: Allocation,
 class JnsaEnv:
     """Sequential multi-agent environment over one NetworkState.
 
+    The env keeps the occupancy and puncture grids of its committed
+    allocation and scores a step incrementally from the committed breakdown
+    (`_rescore`); the public `objective_breakdown` stays the reference.
+
     Single-writer: `step` mutates internal episode state and must be driven
     from one logical thread. Distinct instances are independent.
     """
@@ -399,6 +490,10 @@ class JnsaEnv:
         self.state = state
         self.objective_cfg = objective_cfg or ScalarizedObjective.for_state(state)
         self.conflict_penalty = float(conflict_penalty)
+        if not (math.isfinite(self.conflict_penalty)
+                and self.conflict_penalty >= 0):
+            raise ValueError(f"conflict_penalty must be finite and >= 0, "
+                             f"got {conflict_penalty!r}")
         self.refresh_fading_on_reset = refresh_fading_on_reset
         self._rng = np.random.default_rng(seed)
         self.fembb_ids = state.fembb_users
@@ -412,9 +507,9 @@ class JnsaEnv:
         self.eurllc_obs_dim = 2 + 2 * bitmap + state.n_subchannels * state.n_minislots
         self._order: list[int] = []
         self._cursor = 0
-        self._alloc = Allocation(len(self.fembb_ids), len(self.eurllc_ids),
-                                 state.n_subchannels, state.n_minislots)
+        self._clear_allocation()
         self._norm_gains = np.zeros_like(state.gains)
+        self._stations: _Stations | None = None  # set by reset
         self._breakdown: ObjectiveBreakdown | None = None  # set by reset
         self.conflict_penalty_total = 0.0
 
@@ -430,15 +525,26 @@ class JnsaEnv:
             self.eurllc_ids else []
         self._order = order
         self._cursor = 0
-        self._alloc = Allocation(len(self.fembb_ids), len(self.eurllc_ids),
-                                 self.state.n_subchannels,
-                                 self.state.n_minislots)
-        self._breakdown = objective_breakdown(self.state, self._alloc,
-                                              self.objective_cfg)
+        self._clear_allocation()
+        self._stations = _Stations(self.state)
+        self._breakdown = _score(self.state, self._stations,
+                                 self.objective_cfg, self._alloc,
+                                 self._occupied, self._punct)
         self.conflict_penalty_total = 0.0
         if self.done:
             return np.zeros(0)
         return self.observe(self._order[0])
+
+    def _clear_allocation(self) -> None:
+        """Commit the empty allocation with its all-zero occupancy and
+        puncture grids. The grids are the committed allocation's own: an
+        accepted step replaces them, nothing mutates them."""
+        state = self.state
+        self._alloc = Allocation(len(self.fembb_ids), len(self.eurllc_ids),
+                                 state.n_subchannels, state.n_minislots)
+        grid = (state.n_bs, state.n_subchannels)
+        self._occupied = np.zeros(grid, dtype=bool)
+        self._punct = np.zeros(grid, dtype=int)
 
     @property
     def current_agent(self) -> int | None:
@@ -490,7 +596,7 @@ class JnsaEnv:
         (log min-max scaled, unreachable zeroed), FeMBB occupancy bitmap and,
         for eURLLC agents, the mini-slot puncture bitmap. All in [0, 1]."""
         state = self.state
-        occ = self._alloc.occupied(state.n_bs).astype(float).ravel()
+        occ = self._occupied.astype(float).ravel()
         gains = self._norm_gains[user].ravel()
         if self.user_class(user) is UserClass.FEMBB:
             margin = min(1.0, state.qos.fembb_min_rate_bps
@@ -526,15 +632,14 @@ class JnsaEnv:
         if fembb:
             j, k = divmod(action, state.n_subchannels)
             entries = {"fembb_bs": j, "fembb_k": k}
-            feasible = (state.reachable[user, j]
-                        and not alloc.occupied(state.n_bs)[j, k])
+            feasible = state.reachable[user, j] and not self._occupied[j, k]
         else:
             k, m = divmod(action, state.n_minislots)
             taken = ((alloc.eurllc_k == k) & (alloc.eurllc_m == m)).any()
-            host = -1 if taken else resolve_eurllc_host(
-                state, alloc.occupied(state.n_bs), user, k)
-            entries = {"eurllc_k": k, "eurllc_m": m, "eurllc_host": host}
-            feasible = host >= 0
+            j = -1 if taken else resolve_eurllc_host(state, self._occupied,
+                                                     user, k)
+            entries = {"eurllc_k": k, "eurllc_m": m, "eurllc_host": j}
+            feasible = j >= 0
 
         accepted = False
         if feasible:
@@ -542,12 +647,22 @@ class JnsaEnv:
             candidate = alloc.copy()
             for name, value in entries.items():
                 getattr(candidate, name)[i] = value
-            br = objective_breakdown(state, candidate, self.objective_cfg)
+            occupied, punct = self._occupied, self._punct
+            if fembb:
+                occupied = occupied.copy()
+                occupied[j, k] = True
+            else:
+                punct = punct.copy()
+                punct[j, k] += 1
+            br = _rescore(self._breakdown, state, self._stations,
+                          self.objective_cfg, candidate, self.fembb_ids,
+                          self.eurllc_ids, occupied, punct, j, k)
             accepted = ((br.fembb_ok[i] or not state.fembb_qos_enforced)
                         if fembb else br.eurllc_ok[i])
         if accepted:
             reward = br.value - self._breakdown.value
             self._alloc, self._breakdown = candidate, br
+            self._occupied, self._punct = occupied, punct
         else:
             reward = -self.conflict_penalty
             self.conflict_penalty_total += self.conflict_penalty

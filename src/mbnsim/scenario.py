@@ -328,7 +328,21 @@ def state_to_json(state: NetworkState) -> dict:
     }
 
 
+def _snapshot_array(data: dict, key: str, dtype, shape: tuple) -> np.ndarray:
+    """One array of a snapshot, which must have `shape`. An empty JSON list
+    carries no shape, so it takes `shape` when that holds no entries."""
+    arr = np.array(data[key], dtype=dtype)
+    if arr.size == 0 == math.prod(shape):
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise ValueError(f"{key} has shape {arr.shape}, but the snapshot's "
+                         f"user, station and subchannel counts give {shape}")
+    return arr
+
+
 def state_from_json(data: dict) -> NetworkState:
+    """Load a snapshot; raises ValueError when its stations are not the RF
+    station then THz stations, or an array disagrees with the counts."""
     if data.get("schema_version") != STATE_SCHEMA_VERSION:
         raise ValueError(f"unsupported state schema: {data.get('schema_version')}")
 
@@ -340,14 +354,21 @@ def state_from_json(data: dict) -> NetworkState:
 
     channel = ChannelParams(**data["channel"])
     topo = data["topology"]
+    rbs, *tbs_list = [bs_from(d) for d in [topo["rbs"], *topo["tbs_list"]]]
+    if rbs.band is not Band.RF:
+        raise ValueError(f"topology.rbs must be an RF station, not "
+                         f"{rbs.band.value}")
+    if any(bs.band is not Band.THZ for bs in tbs_list):
+        raise ValueError("every topology.tbs_list entry must be a THz station")
     topology = Topology(cell_radius_m=topo["cell_radius_m"],
-                        stations=[bs_from(d) for d in
-                                  [topo["rbs"], *topo["tbs_list"]]])
+                        stations=[rbs, *tbs_list])
     users = [UserProfile(id=d["id"], user_class=UserClass(d["user_class"]),
                          kind=UserKind(d["kind"]),
                          position=np.array(d["position"], dtype=float),
                          velocity_mps=d["velocity_mps"])
              for d in data["users"]]
+    n_users, n_bs = len(users), len(topology.stations)
+    c = channel.subchannels_per_band
     frame = data["frame"]
     serving = data.get("serving_bs")
     return NetworkState(
@@ -359,9 +380,9 @@ def state_from_json(data: dict) -> NetworkState:
                              **frame),
         frame_thz=FrameConfig(subchannel_bandwidth_hz=channel.thz_subchannel_bandwidth_hz,
                               **frame),
-        gains=np.array(data["gains"], dtype=float),
-        fading=np.array(data["fading"], dtype=float),
-        reachable=np.array(data["reachable"], dtype=bool),
+        gains=_snapshot_array(data, "gains", float, (n_users, n_bs, c)),
+        fading=_snapshot_array(data, "fading", float, (n_users, c)),
+        reachable=_snapshot_array(data, "reachable", bool, (n_users, n_bs)),
         gain_log_bounds=tuple(data["gain_log_bounds"]),
         fembb_qos_enforced=data["fembb_qos_enforced"],
         serving_bs=None if serving is None else np.array(serving, dtype=int),

@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbnsim.config import ScenarioConfig
 from mbnsim.env import (Allocation, AllocationError, JnsaEnv,
-                        ScalarizedObjective, apply_mobility, attach_serving,
-                        objective, objective_breakdown, perturb_csi,
-                        resolve_eurllc_host)
+                        ScalarizedObjective, _Stations, apply_mobility,
+                        attach_serving, objective, objective_breakdown,
+                        perturb_csi, resolve_eurllc_host)
 from mbnsim.phy import noise_power_w, rf_path_gain
 from mbnsim.scenario import (UserClass, _gain_log_bounds, compute_gain_tensor,
-                             generate_scenario)
+                             generate_scenario, make_sbn_scenario,
+                             make_sc_scenario)
 from mbnsim.service import (decoding_error_probability, punctured_rate,
                             shannon_rate)
 
@@ -305,6 +308,11 @@ class TestEnvStep:
         classes = [env.user_class(u) for u in env.agent_order]
         assert classes == [UserClass.FEMBB] * 4 + [UserClass.EURLLC] * 4
 
+    @pytest.mark.parametrize("penalty", [-1.0, math.nan, math.inf, -math.inf])
+    def test_conflict_penalty_must_be_finite_nonnegative(self, penalty):
+        with pytest.raises(ValueError, match="conflict_penalty"):
+            JnsaEnv(make_state(), conflict_penalty=penalty)
+
     def test_out_of_range_action_raises(self):
         env = JnsaEnv(make_state(), seed=3)
         env.reset()
@@ -498,6 +506,100 @@ class TestEnvStep:
         env = JnsaEnv(make_state(n_fembb=0, n_eurllc=0), seed=1)
         env.reset()
         assert env.done
+
+
+def _with_qos(transform, enforced):
+    def variant(state):
+        state = transform(state)
+        state.fembb_qos_enforced = enforced
+        return state
+    return variant
+
+
+# every network variant, with the FeMBB rate target enforced and dropped
+SCORING_VARIANTS = {
+    "mbn": _with_qos(lambda s: s, True),
+    "mbn_noqos": _with_qos(lambda s: s, False),
+    "sbn": _with_qos(make_sbn_scenario, True),
+    "sbn_noqos": _with_qos(make_sbn_scenario, False),
+    "sc": make_sc_scenario,
+    "sc_noqos": lambda s: make_sc_scenario(s, qos_enforced=False),
+}
+
+
+def _breakdown_arrays(br):
+    return [br.fembb_rates_bps, br.fembb_ok, br.eurllc_errors, br.eurllc_ok]
+
+
+def _assert_same_breakdown(got, want):
+    # the type too: a float and an np.float64 of equal value repr differently
+    assert got.value == want.value and type(got.value) is type(want.value)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(_breakdown_arrays(got), _breakdown_arrays(want)))
+    assert got.fembb_terms == want.fembb_terms
+    assert got.eurllc_terms == want.eurllc_terms
+
+
+class TestIncrementalScoring:
+    """The env scores a step from its kept grids and the committed
+    breakdown; `objective_breakdown` from scratch is the reference."""
+
+    def test_station_constants_match_state_accessors(self):
+        state = make_state(n_tbs=3)
+        stations = _Stations(state)
+        ids = range(state.n_bs)
+        assert stations.band == [state.band_of(j) for j in ids]
+        assert stations.power == [state.subchannel_power_w(j) for j in ids]
+        assert stations.noise == [state.noise_w(j) for j in ids]
+        assert stations.frame == [state.frame_for(j) for j in ids]
+
+    @settings(deadline=None)
+    @given(variant=st.sampled_from(sorted(SCORING_VARIANTS)),
+           n_fembb=st.integers(0, 6), n_eurllc=st.integers(0, 6),
+           n_tbs=st.integers(0, 3), subchannels=st.sampled_from([1, 2, 4]),
+           hotspots=st.booleans(), seed=st.integers(0, 10_000),
+           data=st.data())
+    def test_step_matches_reference_bit_for_bit(self, variant, n_fembb,
+                                                n_eurllc, n_tbs, subchannels,
+                                                hotspots, seed, data):
+        # few subchannels crowd links onto shared ones, and hotspot users
+        # put THz stations to work: interference, punctures of occupied and
+        # of free subchannels, and slot conflicts all occur
+        placement = (dict(aerial_fraction=0.0, hotspot_fraction=1.0)
+                     if hotspots else {})
+        state = SCORING_VARIANTS[variant](make_state(
+            seed=seed, n_fembb=n_fembb, n_eurllc=n_eurllc, n_tbs=n_tbs,
+            subchannels_per_band=subchannels, **placement))
+        env = JnsaEnv(state, seed=seed)
+        n_bs = state.n_bs
+        for _ in range(2):
+            env.reset()
+            _assert_same_breakdown(env.breakdown, objective_breakdown(
+                env.state, env.allocation, env.objective_cfg))
+            while not env.done:
+                alloc, br = env.allocation, env.breakdown
+                grids = env._occupied, env._punct
+                kept = ([a.copy() for a in _breakdown_arrays(br)],
+                        [g.copy() for g in grids], alloc.copy())
+                penalties = env.conflict_penalty_total
+                env.step(data.draw(st.integers(
+                    0, env.action_count_for(env.current_agent) - 1)))
+                # the committed breakdown is replaced, never mutated
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(_breakdown_arrays(br), kept[0]))
+                if env.conflict_penalty_total > penalties:  # rejected
+                    assert env.breakdown is br and env.allocation is alloc
+                    assert env._occupied is grids[0]
+                    assert env._punct is grids[1]
+                    assert all(np.array_equal(g, h)
+                               for g, h in zip(grids, kept[1]))
+                    assert alloc.canonical_key() == kept[2].canonical_key()
+                _assert_same_breakdown(env.breakdown, objective_breakdown(
+                    env.state, env.allocation, env.objective_cfg))
+                assert np.array_equal(env._occupied,
+                                      env.allocation.occupied(n_bs))
+                assert np.array_equal(env._punct,
+                                      env.allocation.puncture_counts(n_bs))
 
 
 class TestAttachServing:

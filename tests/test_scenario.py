@@ -158,6 +158,48 @@ class TestJsonSnapshot:
             [(s.position.tolist(), s.band, s.max_power_w, s.coverage_radius_m)
              for s in state.topology.stations]
 
+    @pytest.mark.parametrize("cfg", [desk_cfg(), desk_cfg(n_tbs=0),
+                                     desk_cfg(n_fembb=0, n_eurllc=0)],
+                             ids=["desk", "rf_only", "no_users"])
+    def test_round_trip_is_byte_identical(self, cfg):
+        text = json.dumps(state_to_json(generate_scenario(cfg, seed=41)))
+        back = state_from_json(json.loads(text))
+        assert back.gains.shape == (back.n_users, back.n_bs,
+                                    back.n_subchannels)
+        assert json.dumps(state_to_json(back)) == text
+
+    def test_thz_rbs_rejected(self):
+        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
+        topo = data["topology"]
+        topo["rbs"], topo["tbs_list"][0] = topo["tbs_list"][0], topo["rbs"]
+        with pytest.raises(ValueError, match="rbs must be an RF station"):
+            state_from_json(data)
+
+    def test_rf_station_in_tbs_list_rejected(self):
+        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
+        data["topology"]["tbs_list"][1] = data["topology"]["rbs"]
+        with pytest.raises(ValueError, match="THz station"):
+            state_from_json(data)
+
+    def test_station_count_must_match_gains(self):
+        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
+        data["topology"]["tbs_list"] = []  # gains still hold 3 stations
+        with pytest.raises(ValueError, match="gains has shape"):
+            state_from_json(data)
+
+    @pytest.mark.parametrize("key, cut", [
+        ("gains", lambda a: a[:-1]),                      # one user short
+        ("gains", lambda a: [[row[:-1] for row in u] for u in a]),
+        ("reachable", lambda a: [row[:-1] for row in a]),  # one station short
+        ("fading", lambda a: [row + [1.0] for row in a]),  # extra subchannel
+    ], ids=["gains_users", "gains_subchannels", "reachable_stations",
+            "fading_subchannels"])
+    def test_array_shape_mismatch_rejected(self, key, cut):
+        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
+        data[key] = cut(data[key])
+        with pytest.raises(ValueError, match=f"{key} has shape"):
+            state_from_json(data)
+
     def test_unknown_schema_rejected(self):
         state = generate_scenario(desk_cfg(), seed=43)
         data = state_to_json(state)
