@@ -4,12 +4,24 @@ to the networks."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .nets import AdamOptimizer, build_network, clip_gradients
+from .nets import LEARNER_DTYPE, AdamOptimizer, build_network, clip_gradients
+
+
+def _require_positive(name: str, value, integral: bool = False) -> None:
+    """ValueError unless `value` is a positive finite number (an integer
+    when `integral`); bools are rejected although Python counts them."""
+    kind = numbers.Integral if integral else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not math.isfinite(value) or value <= 0):
+        what = "integer" if integral else "finite number"
+        raise ValueError(f"{name} must be a positive {what}, got {value!r}")
 
 
 class Algorithm(Enum):
@@ -38,8 +50,7 @@ class ExplorationSchedule:
     def __post_init__(self):
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
-        if self.decay_steps <= 0:
-            raise ValueError("decay_steps must be positive")
+        _require_positive("decay_steps", self.decay_steps, integral=True)
 
     def epsilon(self, step_count: int) -> float:
         frac = min(max(step_count, 0) / self.decay_steps, 1.0)
@@ -60,16 +71,18 @@ class TrainerConfig:
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
-        if min(self.batch_size, self.target_sync_period,
-               self.buffer_capacity) <= 0:
-            raise ValueError("counts must be positive")
-        if self.learning_rate <= 0 or self.grad_clip <= 0:
-            raise ValueError("learning_rate and grad_clip must be positive")
+        for name in ("batch_size", "target_sync_period", "buffer_capacity"):
+            _require_positive(name, getattr(self, name), integral=True)
+        for name in ("learning_rate", "grad_clip"):
+            _require_positive(name, getattr(self, name))
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        for size in self.hidden_sizes:
+            _require_positive("each hidden size", size, integral=True)
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform no-replacement batches."""
+    """Fixed-capacity ring of transitions with uniform no-replacement batches.
+    Observations are stored in the learners' dtype; rewards stay float64."""
 
     def __init__(self, capacity: int, obs_dim: int):
         if capacity <= 0:
@@ -77,8 +90,8 @@ class ReplayBuffer:
         self.capacity = capacity
         # rows at or past `size` are never read, so the large observation
         # rings are left unfilled rather than zeroed
-        self.obs = np.empty((capacity, obs_dim))
-        self.next_obs = np.empty((capacity, obs_dim))
+        self.obs = np.empty((capacity, obs_dim), dtype=LEARNER_DTYPE)
+        self.next_obs = np.empty((capacity, obs_dim), dtype=LEARNER_DTYPE)
         self.actions = np.zeros(capacity, dtype=int)
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity, dtype=bool)
@@ -89,6 +102,11 @@ class ReplayBuffer:
         return self.size
 
     def push(self, obs, action, reward, next_obs, done) -> None:
+        # assignment would broadcast a wrongly sized row without complaint
+        for row in (obs, next_obs):
+            if np.shape(row) != self.obs.shape[1:]:
+                raise ValueError(f"observation shape {np.shape(row)} != "
+                                 f"{self.obs.shape[1:]}")
         i = self.cursor
         self.obs[i] = obs
         self.actions[i] = action
@@ -172,6 +190,8 @@ class DqnTrainer:
         rows = np.arange(len(actions))
         td_err = q[rows, actions] - targets
         loss = float(np.mean(td_err ** 2))
+        # dq takes q's (the network's) dtype, so backward and the optimizer
+        # see no float64 operand although td_err is float64
         dq = np.zeros_like(q)
         dq[rows, actions] = 2.0 * td_err / len(actions)
         grad = clip_gradients(self.online.backward(cache, dq),

@@ -153,7 +153,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, InstanceSizeError, CheckpointError, ValueError,
-            OSError) as exc:
+            FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,9 @@ File schemas (all floats emitted with repr so rows round-trip exactly):
 * ``rewards.csv``: run_id, episode, reward (per-episode total reward).
 * ``summary.csv``: per (algorithm, env_variant, sweep_param, sweep_value)
   seed aggregates: mean and standard error of the mean.
-* ``manifest.json``: the fully resolved experiment spec and config hash.
+* ``manifest.json``: the fully resolved experiment spec and config hash,
+  the package version, the learners' float type (``learner_dtype``) and
+  the python and numpy versions, which the bits of a trained run depend on.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +37,7 @@ from .baselines import optimal_allocation
 from .config import ConfigError, ScenarioConfig
 from .env import (Allocation, JnsaEnv, ScalarizedObjective, apply_mobility,
                   attach_serving, objective_breakdown, perturb_csi)
-from .nets import save_checkpoint
+from .nets import LEARNER_DTYPE, save_checkpoint
 from .scenario import (NetworkState, UserClass, generate_scenario,
                        make_sbn_scenario, make_sc_scenario)
 
@@ -409,7 +412,10 @@ def run_experiment(spec: ExperimentSpec,
         out_path.mkdir(parents=True, exist_ok=True)
         checkpoint_dir = out_path / "checkpoints"
         manifest = {"spec": spec.to_dict(), "version": __version__,
-                    "config_hash": chash}
+                    "config_hash": chash,
+                    "learner_dtype": np.dtype(LEARNER_DTYPE).name,
+                    "python": platform.python_version(),
+                    "numpy": np.__version__}
         (out_path / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True))
         _write_rows(out_path / "runs.csv", [RUNS_COLUMNS], "w")

@@ -1,19 +1,26 @@
 """Feed-forward value approximators with manual backprop, plus the
 first/second-moment adaptive gradient optimizer and checkpoint io.
 
-Everything is float64 numpy; forward passes and updates are bit-deterministic
-for a fixed seed, which the training-reproducibility contract relies on.
+Networks train in float32 by default (`LEARNER_DTYPE`): weights, gradients,
+the optimizer's moments and the observations a network reads. The TD
+targets, rewards and losses around them stay float64, like the environment.
+Forward passes and updates are bit-deterministic for a fixed seed, which the
+training-reproducibility contract relies on.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-CHECKPOINT_FORMAT_VERSION = 1
+LEARNER_DTYPE = np.float32
+# version 1 predates the "dtype" key; its weights load as float64
+CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_DTYPES = ("float32", "float64")
 
 
 class CheckpointError(ValueError):
@@ -21,23 +28,28 @@ class CheckpointError(ValueError):
 
 
 class _Network:
-    """Parameters live in one contiguous float64 vector `flat`; `params` is
-    the list of per-layer weight/bias views into it (w0, b0, w1, b1, ...).
-    `grad` is the gradient buffer `backward` fills, laid out the same way.
+    """Parameters live in one contiguous vector `flat` of type `dtype`;
+    `params` is the list of per-layer weight/bias views into it (w0, b0, w1,
+    b1, ...). `grad` is the gradient buffer `backward` fills, laid out the
+    same way and of the same type.
     Subclasses give their (fan_in, fan_out) layers in `_layer_shapes` and
     their output head in `forward` and `backward`."""
 
     kind: str
 
     def __init__(self, input_dim: int, hidden_sizes: tuple[int, ...],
-                 action_count: int, rng: np.random.Generator):
+                 action_count: int, rng: np.random.Generator,
+                 dtype=LEARNER_DTYPE):
         self.input_dim = input_dim
         self.hidden_sizes = tuple(hidden_sizes)
         self.action_count = action_count
         self._bind(np.zeros(sum((fan_in + 1) * fan_out
-                                for fan_in, fan_out in self._layer_shapes())))
+                                for fan_in, fan_out in self._layer_shapes()),
+                            dtype=dtype))
         for w in self.params[::2]:
-            # He-style scaling for rectified-linear hiddens; biases stay 0
+            # He-style scaling for rectified-linear hiddens; biases stay 0.
+            # The draws are float64 whatever the dtype, so the stream of
+            # `rng` does not depend on it.
             w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     def _views(self, vec: np.ndarray) -> list[np.ndarray]:
@@ -72,7 +84,9 @@ class _Network:
         per hidden layer, then the head's input."""
         if x.shape[1] != self.input_dim:
             raise ValueError(f"observation dim {x.shape[1]} != {self.input_dim}")
-        h = x
+        # one cast at the boundary: a float64 batch would otherwise promote
+        # every product with float32 weights back to float64
+        h = x.astype(self.flat.dtype, copy=False)
         for layer in range(len(self.hidden_sizes)):
             z = h @ self.params[2 * layer] + self.params[2 * layer + 1]
             if cache is not None:
@@ -162,16 +176,23 @@ class DuelingQNetwork(_Network):
 
 
 def build_network(kind: str, input_dim: int, hidden_sizes, action_count: int,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator, dtype=LEARNER_DTYPE):
     cls = {"plain": QNetwork, "dueling": DuelingQNetwork}.get(kind)
     if cls is None:
         raise ValueError(f"unknown network kind: {kind}")
-    return cls(input_dim, tuple(hidden_sizes), action_count, rng)
+    return cls(input_dim, tuple(hidden_sizes), action_count, rng, dtype)
 
 
 def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
-    """Scale the gradient so its L2 norm is at most `bound`."""
-    norm = float(np.linalg.norm(grad))
+    """Scale the gradient so its L2 norm is at most `bound`. A gradient whose
+    norm is not finite in its own dtype (a NaN entry, or entries so large
+    that the squared norm overflows) raises FloatingPointError: scaling it
+    would write NaN or zeros into every weight."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(grad))
+    if not math.isfinite(norm):
+        raise FloatingPointError(
+            f"gradient norm is {norm} in {grad.dtype}; training diverged")
     if norm <= bound or norm == 0.0:
         return grad
     return grad * (bound / norm)
@@ -222,6 +243,7 @@ class AdamOptimizer:
 def checkpoint_dict(model, config_echo: dict | None = None) -> dict:
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
+        "dtype": model.flat.dtype.name,
         "kind": model.kind,
         "input_dim": model.input_dim,
         "hidden_sizes": list(model.hidden_sizes),
@@ -238,13 +260,16 @@ def save_checkpoint(model, path: str | Path,
 
 
 def model_from_checkpoint(data: dict):
-    if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format: {data.get('format_version')}")
+    version = data.get("format_version")
+    if version not in (1, CHECKPOINT_FORMAT_VERSION):
+        raise CheckpointError(f"unsupported checkpoint format: {version}")
     try:
+        dtype = "float64" if version == 1 else data["dtype"]
+        if dtype not in CHECKPOINT_DTYPES:
+            raise CheckpointError(f"unsupported checkpoint dtype: {dtype!r}")
         model = build_network(data["kind"], data["input_dim"],
                               data["hidden_sizes"], data["action_count"],
-                              np.random.default_rng(0))
+                              np.random.default_rng(0), np.dtype(dtype))
         arrays = [(entry["shape"], entry["data"]) for entry in data["arrays"]]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint lacks key {exc}") from exc
@@ -255,7 +280,9 @@ def model_from_checkpoint(data: dict):
         if tuple(shape) != p.shape:
             raise CheckpointError(
                 f"array shape {shape} does not match {list(p.shape)}")
-        p[...] = np.array(values, dtype=float).reshape(p.shape)
+        # a value beyond the dtype's range becomes inf, rejected just below
+        with np.errstate(over="ignore"):
+            p[...] = np.array(values, dtype=float).reshape(p.shape)
     if not np.isfinite(model.flat).all():
         raise CheckpointError("checkpoint holds a non-finite weight")
     return model

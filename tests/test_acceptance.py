@@ -206,8 +206,11 @@ def test_criterion_2_gradient_correctness():
     params_max = 0
     for seed in range(4):
         rng = np.random.default_rng(100 + seed)
-        plain = QNetwork(6, (10, 10), 5, rng)
-        dueling = DuelingQNetwork(6, (10, 10), 5, rng)
+        # float64: a 1e-5 finite-difference step is below float32's
+        # resolution of the loss; tests/test_agents.py::TestFloat32 checks
+        # the float32 backward against a float64 copy
+        plain = QNetwork(6, (10, 10), 5, rng, np.float64)
+        dueling = DuelingQNetwork(6, (10, 10), 5, rng, np.float64)
         for model in (plain, dueling):
             params_max = max(params_max,
                              sum(p.size for p in model.params))

@@ -18,13 +18,14 @@ from mbnsim.nets import (AdamOptimizer, CheckpointError, DuelingQNetwork,
                          model_from_checkpoint, save_checkpoint)
 
 
-def small_plain(seed=0, dims=(6, (8, 8), 4)):
-    return QNetwork(dims[0], dims[1], dims[2], np.random.default_rng(seed))
+def small_plain(seed=0, dims=(6, (8, 8), 4), dtype=np.float32):
+    return QNetwork(dims[0], dims[1], dims[2], np.random.default_rng(seed),
+                    dtype)
 
 
-def small_dueling(seed=0, dims=(6, (8, 8), 4)):
+def small_dueling(seed=0, dims=(6, (8, 8), 4), dtype=np.float32):
     return DuelingQNetwork(dims[0], dims[1], dims[2],
-                           np.random.default_rng(seed))
+                           np.random.default_rng(seed), dtype)
 
 
 def reference_forward_plain(model, x):
@@ -85,7 +86,7 @@ class TestForward:
         assert np.array_equal(model.forward(np.ones(6)), np.zeros(4))
 
     def test_dueling_mean_is_value(self):
-        model = small_dueling(seed=7)
+        model = small_dueling(seed=7, dtype=np.float64)
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = rng.normal(size=6)
@@ -209,20 +210,69 @@ def finite_difference_check(model, seed):
 
 
 class TestGradients:
+    """Finite differences need float64: a 1e-5 step is below float32's
+    resolution of the loss. TestFloat32 covers the float32 backward."""
+
     def test_plain_gradient_matches_finite_differences(self):
-        model = small_plain(seed=21, dims=(6, (8, 8), 4))  # ~164 params
+        model = small_plain(seed=21, dims=(6, (8, 8), 4),  # ~164 params
+                            dtype=np.float64)
         assert finite_difference_check(model, seed=1) < 1e-4
 
     def test_dueling_gradient_matches_finite_differences(self):
-        model = small_dueling(seed=22, dims=(6, (8, 8), 4))
+        model = small_dueling(seed=22, dims=(6, (8, 8), 4), dtype=np.float64)
         assert finite_difference_check(model, seed=2) < 1e-4
 
     def test_more_random_models(self):
         for seed in range(3):
             assert finite_difference_check(
-                small_plain(seed=seed, dims=(4, (5, 6), 3)), seed) < 1e-4
+                small_plain(seed=seed, dims=(4, (5, 6), 3), dtype=np.float64),
+                seed) < 1e-4
             assert finite_difference_check(
-                small_dueling(seed=seed, dims=(4, (5, 6), 3)), seed) < 1e-4
+                small_dueling(seed=seed, dims=(4, (5, 6), 3),
+                              dtype=np.float64), seed) < 1e-4
+
+
+class TestFloat32:
+    # float32 resolves about 6e-8 relative; these nets sum a few dozen terms
+    # of order one per output, so 1e-5 leaves two decades of slack
+    RTOL, ATOL = 1e-5, 1e-6
+
+    @pytest.mark.parametrize("make", [small_plain, small_dueling])
+    def test_matches_float64_copy_of_same_weights(self, make):
+        m32 = make(seed=8)
+        m64 = make(seed=8, dtype=np.float64)
+        m64.flat[...] = m32.flat
+        rng = np.random.default_rng(4)
+        batch = rng.normal(size=(5, 6))
+        dq = rng.normal(size=(5, 4))
+        cache32, cache64 = [], []
+        q32 = m32.forward(batch, cache32)
+        q64 = m64.forward(batch, cache64)
+        assert q32.dtype == np.float32 and q64.dtype == np.float64
+        np.testing.assert_allclose(q32, q64, rtol=self.RTOL, atol=self.ATOL)
+        g32 = m32.backward(cache32, dq.astype(np.float32))
+        g64 = m64.backward(cache64, dq)
+        assert g32.dtype == np.float32
+        np.testing.assert_allclose(g32, g64, rtol=self.RTOL, atol=self.ATOL)
+
+    @pytest.mark.parametrize("variant", list(Algorithm))
+    def test_train_step_keeps_learner_state_float32(self, variant):
+        trainer = make_trainer(variant=variant)
+        rng = np.random.default_rng(2)
+        for i in range(6):
+            trainer.push(rng.normal(size=6), i % 4, rng.normal(),
+                         rng.normal(size=6), i == 5)
+        loss = trainer.train_step()
+        assert type(loss) is float
+        arrays = {"flat": trainer.online.flat, "grad": trainer.online.grad,
+                  "target": trainer.target.flat,
+                  "obs ring": trainer.buffer.obs,
+                  "next_obs ring": trainer.buffer.next_obs,
+                  **{f"adam m{i}": m for i, m in enumerate(trainer.optimizer.m)},
+                  **{f"adam v{i}": v for i, v in enumerate(trainer.optimizer.v)}}
+        assert {name: a.dtype for name, a in arrays.items()} == {
+            name: np.float32 for name in arrays}
+        assert trainer.buffer.rewards.dtype == np.float64
 
 
 class TestReplayBuffer:
@@ -245,6 +295,15 @@ class TestReplayBuffer:
         buf.push([0], 0, 0.0, [0], False)
         with pytest.raises(ValueError):
             buf.sample(np.random.default_rng(0), 2)
+
+    @pytest.mark.parametrize("obs, next_obs", [
+        ([1.0], np.zeros(3)), (np.zeros(3), [1.0]), (np.zeros(4), np.zeros(3)),
+        (np.zeros((1, 3)), np.zeros(3)), (1.0, np.zeros(3))])
+    def test_misshapen_observation_rejected(self, obs, next_obs):
+        buf = ReplayBuffer(4, 3)
+        with pytest.raises(ValueError, match="shape"):
+            buf.push(obs, 0, 0.0, next_obs, False)
+        assert len(buf) == 0
 
 
 class TestExploration:
@@ -331,7 +390,8 @@ class TestTrainer:
         trainer = make_trainer(batch_size=1, learning_rate=1e-2)
         obs = np.ones(6)
         trainer.push(obs, 1, 10.0, np.zeros(6), True)
-        q_before = trainer.online.forward(obs)[1]
+        # the loss is float64 arithmetic on the network's float32 Q-value
+        q_before = float(trainer.online.forward(obs)[1])
         loss = trainer.train_step()
         assert loss == pytest.approx((q_before - 10.0) ** 2, rel=1e-12)
 
@@ -411,6 +471,21 @@ class TestFlatLayout:
         grad = np.zeros(4)
         assert np.array_equal(clip_gradients(grad, 1.0), np.zeros(4))
 
+    @pytest.mark.parametrize("grad", [
+        np.array([1.0, np.nan, 2.0]),
+        np.array([1e200, 1e200]),                  # norm overflows float64
+        np.full(4, 1e19, dtype=np.float32),        # norm overflows float32
+    ], ids=["nan", "overflow64", "overflow32"])
+    def test_clip_non_finite_norm_raises(self, grad):
+        with pytest.raises(FloatingPointError):
+            clip_gradients(grad, 10.0)
+
+    def test_clip_float32_keeps_dtype(self):
+        grad = np.array([3.0, 4.0], dtype=np.float32)
+        clipped = clip_gradients(grad, 1.0)
+        assert clipped.dtype == np.float32
+        assert np.array_equal(clipped, grad * np.float32(0.2))
+
 
 def peak_extra_bytes(fn) -> int:
     """Peak memory traced while `fn` runs, above what was live before it;
@@ -459,9 +534,10 @@ class TestAdam:
         # 982 -> 128 -> 128 is the full-scale eURLLC network
         rng = np.random.default_rng(3)
         model = DuelingQNetwork(982, (128, 128), 140, rng)
+        assert model.flat.dtype == np.float32
         cache: list = []
         model.forward(rng.normal(size=(64, 982)), cache)
-        dq = rng.normal(size=(64, 140))
+        dq = rng.normal(size=(64, 140)).astype(np.float32)
         grad = model.backward(cache, dq).copy()
         opt = AdamOptimizer([model.flat], 1e-3)
         bound = model.flat.nbytes / 4
@@ -484,12 +560,36 @@ class TestAdam:
 
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = small_dueling(seed=13)
-        path = tmp_path / "model.json"
-        save_checkpoint(model, path, {"note": "test"})
-        back = load_checkpoint(path)
-        assert type(back) is type(model)
+        for dtype in (np.float32, np.float64):
+            model = small_dueling(seed=13, dtype=dtype)
+            path = tmp_path / "model.json"
+            save_checkpoint(model, path, {"note": "test"})
+            back = load_checkpoint(path)
+            assert type(back) is type(model)
+            assert back.flat.dtype == dtype
+            assert np.array_equal(back.flat, model.flat)
+
+    def test_version_1_loads_as_float64(self):
+        model = small_plain(seed=3, dtype=np.float64)
+        data = checkpoint_dict(model)
+        data["format_version"] = 1
+        del data["dtype"]
+        back = model_from_checkpoint(data)
+        assert back.flat.dtype == np.float64
         assert np.array_equal(back.flat, model.flat)
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64", None, ["float32"]])
+    def test_unknown_dtype_rejected(self, dtype):
+        data = checkpoint_dict(small_plain(seed=1))
+        data["dtype"] = dtype
+        with pytest.raises(CheckpointError, match="dtype"):
+            model_from_checkpoint(data)
+
+    def test_weight_beyond_float32_range_rejected(self):
+        data = checkpoint_dict(small_plain(seed=1))
+        data["arrays"][0]["data"][0] = 1e300
+        with pytest.raises(CheckpointError, match="non-finite"):
+            model_from_checkpoint(data)
 
     def test_dimension_mismatch_rejected(self):
         data = checkpoint_dict(small_plain(seed=1))
@@ -497,7 +597,8 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             model_from_checkpoint(data)
 
-    @pytest.mark.parametrize("key", ["arrays", "kind", "shape", "data"])
+    @pytest.mark.parametrize("key", ["arrays", "kind", "shape", "data",
+                                     "dtype"])
     def test_missing_key_rejected(self, key):
         data = checkpoint_dict(small_plain(seed=1))
         del (data if key in data else data["arrays"][0])[key]
@@ -543,3 +644,22 @@ class TestAlgorithmParsing:
             TrainerConfig(batch_size=0)
         with pytest.raises(ValueError):
             ExplorationSchedule(epsilon_start=0.1, epsilon_end=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        *[("learning_rate", v) for v in (float("nan"), float("inf"),
+                                         -float("inf"))],
+        *[("grad_clip", v) for v in (float("nan"), float("inf"),
+                                     -float("inf"))],
+        *[(name, v) for name in ("batch_size", "target_sync_period",
+                                 "buffer_capacity") for v in (True, 64.5)],
+        ("hidden_sizes", (0,)), ("hidden_sizes", (-3, 64)),
+        ("hidden_sizes", (True, 8)), ("hidden_sizes", (8.5,)),
+    ])
+    def test_trainer_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, 0, -1, float("nan")])
+    def test_schedule_rejects_bad_decay_steps(self, value):
+        with pytest.raises(ValueError, match="decay_steps"):
+            ExplorationSchedule(decay_steps=value)

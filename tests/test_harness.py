@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,16 @@ class TestRunExperiment:
         assert (tmp_path / "rewards.csv").exists()
         checkpoints = list((tmp_path / "checkpoints").glob("*.json"))
         assert len(checkpoints) == 8  # two policies per run
+
+    def test_manifest_records_learner_dtype_and_versions(self, tmp_path):
+        run_experiment(tiny_spec(episodes=20), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["learner_dtype"] == "float32"
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        for name in ("runs.csv", "rewards.csv", "summary.csv"):
+            text = (tmp_path / name).read_text()
+            assert "float32" not in text and "numpy" not in text
 
     def test_optimal_record_matches_direct_oracle(self):
         spec = tiny_spec(algorithm="optimal", episodes=1, eval_episodes=2)
@@ -375,6 +386,17 @@ class TestCli:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "penalty" in err
         assert not (tmp_path / "out").exists()
+
+    def test_diverged_training_exit_code(self, tmp_path, capsys,
+                                         monkeypatch):
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("gradient norm is nan in float32")
+
+        monkeypatch.setattr(cli, "run_experiment", diverge)
+        rc = cli.main(["train", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_invalid_sweep_param_exit_code(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
