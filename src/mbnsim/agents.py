@@ -4,24 +4,13 @@ to the networks."""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .config import require_positive
 from .nets import LEARNER_DTYPE, AdamOptimizer, build_network, clip_gradients
-
-
-def _require_positive(name: str, value, integral: bool = False) -> None:
-    """ValueError unless `value` is a positive finite number (an integer
-    when `integral`); bools are rejected although Python counts them."""
-    kind = numbers.Integral if integral else numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not math.isfinite(value) or value <= 0):
-        what = "integer" if integral else "finite number"
-        raise ValueError(f"{name} must be a positive {what}, got {value!r}")
 
 
 class Algorithm(Enum):
@@ -50,7 +39,7 @@ class ExplorationSchedule:
     def __post_init__(self):
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
-        _require_positive("decay_steps", self.decay_steps, integral=True)
+        require_positive("decay_steps", self.decay_steps, integral=True)
 
     def epsilon(self, step_count: int) -> float:
         frac = min(max(step_count, 0) / self.decay_steps, 1.0)
@@ -72,12 +61,12 @@ class TrainerConfig:
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
         for name in ("batch_size", "target_sync_period", "buffer_capacity"):
-            _require_positive(name, getattr(self, name), integral=True)
+            require_positive(name, getattr(self, name), integral=True)
         for name in ("learning_rate", "grad_clip"):
-            _require_positive(name, getattr(self, name))
+            require_positive(name, getattr(self, name))
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         for size in self.hidden_sizes:
-            _require_positive("each hidden size", size, integral=True)
+            require_positive("each hidden size", size, integral=True)
 
 
 class ReplayBuffer:

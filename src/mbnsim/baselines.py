@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .env import (Allocation, ScalarizedObjective, eurllc_error, eurllc_term,
-                  fembb_term, free_gamma, objective_breakdown,
+from .env import (Allocation, ScalarizedObjective, Stations, eurllc_error,
+                  eurllc_term, fembb_term, objective_breakdown,
                   resolve_eurllc_host)
 from .scenario import NetworkState
 from .service import shannon_rate
@@ -67,16 +67,17 @@ def optimal_allocation(state: NetworkState,
             f"~{_static_space_bound(state):.3g} nodes)")
     c, m = state.n_subchannels, state.n_minislots
     n_bs = state.n_bs
+    stations = Stations(state)
 
     # weighted per-user terms at interference- and puncture-free SINR
     def fembb_value(user: int, j: int, k: int) -> float:
-        rate = shannon_rate(state.frame_for(j).subchannel_bandwidth_hz,
-                            free_gamma(state, user, j, k))
+        rate = shannon_rate(stations.frame[j].subchannel_bandwidth_hz,
+                            stations.free_gamma(user, j, k))
         return weights.weight_rate * fembb_term(state, weights, rate, n_f)
 
     def eurllc_value(user: int, host: int, k: int) -> float:
-        eps = eurllc_error(state.frame_for(host),
-                           free_gamma(state, user, host, k))
+        eps = eurllc_error(stations.frame[host],
+                           stations.free_gamma(user, host, k))
         return weights.weight_reliability * eurllc_term(state, weights, eps, n_u)
 
     unassigned = weights.weight_rate * fembb_term(state, weights, 0.0,

@@ -7,16 +7,18 @@ Exit code 0 on success; on failure a single machine-parsable line
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
+from .agents import Algorithm
 from .baselines import InstanceSizeError
 from .config import ConfigError, ScenarioConfig, load_scenario_config
 from .env import ScalarizedObjective
-from .harness import (ENV_VARIANTS, ExperimentSpec, build_variant_state,
-                      config_hash, robustness_sweep, run_experiment)
+from .harness import (ALGORITHMS, ENV_VARIANTS, ROBUSTNESS_COLUMNS,
+                      ExperimentSpec, build_variant_state, format_cell,
+                      robustness_sweep, run_experiment, write_manifest,
+                      write_rows)
 from .nets import CheckpointError, load_checkpoint
 from .scenario import generate_scenario
 from . import __version__
@@ -90,18 +92,12 @@ def cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(json.dumps(
-        {"scenario": cfg.to_dict(), "perturbation": args.perturbation,
-         "values": list(args.values), "version": __version__},
-        indent=2, sort_keys=True))
-    with open(out / "robustness.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("perturbation", "value", "fembb_rate_bps_mean",
-                         "fembb_rate_bps_sem", "n"))
-        for row in rows:
-            writer.writerow((row["perturbation"], repr(row["value"]),
-                             repr(row["fembb_rate_bps_mean"]),
-                             repr(row["fembb_rate_bps_sem"]), row["n"]))
+    write_manifest(out, {"scenario": cfg.to_dict(),
+                         "perturbation": args.perturbation,
+                         "values": list(args.values)})
+    write_rows(out / "robustness.csv", [ROBUSTNESS_COLUMNS] + [
+        [format_cell(row[col]) for col in ROBUSTNESS_COLUMNS]
+        for row in rows], "w")
     return 0
 
 
@@ -115,13 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one algorithm on one scenario")
     _add_common(p_train)
     p_train.add_argument("--algo", default="duel_dqn",
-                         choices=("dqn", "double_dqn", "duel_dqn"))
+                         choices=[a.value for a in Algorithm])
     p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="grid over one scenario parameter")
     _add_common(p_sweep)
-    p_sweep.add_argument("--algo", default="duel_dqn",
-                         choices=("dqn", "double_dqn", "duel_dqn", "optimal"))
+    p_sweep.add_argument("--algo", default="duel_dqn", choices=ALGORITHMS)
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", type=float, nargs="+", required=True)
     p_sweep.set_defaults(func=cmd_train)

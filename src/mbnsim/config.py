@@ -28,6 +28,16 @@ class ConfigError(ValueError):
     """Invalid configuration content; the message names the offending field."""
 
 
+def require_positive(name: str, value, integral: bool = False) -> None:
+    """ConfigError unless `value` is a positive finite number (an integer
+    when `integral`); bools are rejected although Python counts them."""
+    kind = numbers.Integral if integral else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not math.isfinite(value) or value <= 0):
+        what = "integer" if integral else "finite number"
+        raise ConfigError(f"{name} must be a positive {what}, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     # topology
@@ -82,8 +92,8 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"field {name} must be an integer, got {value!r}")
                 setattr(self, name, int(value))
-        if self.n_tbs < 0 or self.n_fembb < 0 or self.n_eurllc < 0:
-            raise ConfigError("n_tbs/n_fembb/n_eurllc must be >= 0")
+        if min(self.n_tbs, self.n_fembb, self.n_eurllc, self.seed) < 0:
+            raise ConfigError("n_tbs/n_fembb/n_eurllc/seed must be >= 0")
         if not 0.0 <= self.aerial_fraction <= 1.0:
             raise ConfigError("aerial_fraction must lie in [0, 1]")
         if not 0.0 <= self.hotspot_fraction <= 1.0:
@@ -96,6 +106,14 @@ class ScenarioConfig:
             raise ConfigError("weight_rate must lie in [0, 1]")
         if self.violation_penalty < 0 or self.conflict_penalty < 0:
             raise ConfigError("violation_penalty and conflict_penalty must be >= 0")
+        # range checks of the objects a run builds only once it starts
+        try:
+            channel = self.channel_params()
+            self.frame_for_bandwidth(channel.rf_subchannel_bandwidth_hz)
+            self.frame_for_bandwidth(channel.thz_subchannel_bandwidth_hz)
+            self.qos_targets()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def channel_params(self) -> ChannelParams:
         return ChannelParams(

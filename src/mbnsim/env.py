@@ -215,14 +215,15 @@ class ScalarizedObjective:
         """Normalizers derived from the scenario: the rate scale is the user
         count times the best interference-free link rate, the reliability
         scale is the eURLLC user count."""
+        stations = Stations(state)
         best = 0.0
         for i in range(state.n_users):
             for j in range(state.n_bs):
                 if state.reachable[i, j]:
                     k = int(state.gains[i, j].argmax())
                     best = max(best, shannon_rate(
-                        state.frame_for(j).subchannel_bandwidth_hz,
-                        free_gamma(state, i, j, k)))
+                        stations.frame[j].subchannel_bandwidth_hz,
+                        stations.free_gamma(i, j, k)))
         if best <= 0:
             best = state.qos.fembb_min_rate_bps
         n_f = max(len(state.fembb_users), 1)
@@ -252,20 +253,14 @@ class ObjectiveBreakdown:
         return int(self.eurllc_ok.sum())
 
 
-def free_gamma(state: NetworkState, user: int, j: int, k: int) -> float:
-    """SINR of user's link on (bs j, subchannel k) with no interference."""
-    return sinr(state.subchannel_power_w(j), state.gains[user, j, k], 0.0,
-                state.noise_w(j))
+class Stations:
+    """The one derivation of each station's constants: band, power split
+    evenly over the band's subchannels, noise over the band's subchannel
+    bandwidth, and the band's frame (noise and frame once per band). The
+    SINRs read `state.gains` when called, so `refresh_fading` keeps a
+    table valid."""
 
-
-class _Stations:
-    """Per-station constants of a state: the values `NetworkState.band_of`,
-    `subchannel_power_w`, `noise_w` and `frame_for` give, read in one pass
-    per scoring call rather than once per link and per interferer. Frame
-    and noise depend on the band alone, so each is computed once per
-    band."""
-
-    __slots__ = ("band", "power", "noise", "frame")
+    __slots__ = ("state", "band", "power", "noise", "frame")
 
     def __init__(self, state: NetworkState):
         stations, c = state.topology.stations, state.n_subchannels
@@ -273,24 +268,30 @@ class _Stations:
         noise_rf, noise_thz = (
             noise_power_w(state.channel, frame.subchannel_bandwidth_hz)
             for frame in (rf, thz))
+        self.state = state
         self.band = [bs.band for bs in stations]
         self.power = [bs.max_power_w / c for bs in stations]
         self.frame = [rf if b is Band.RF else thz for b in self.band]
         self.noise = [noise_rf if b is Band.RF else noise_thz
                       for b in self.band]
 
+    def free_gamma(self, user: int, j: int, k: int) -> float:
+        """SINR of user's link on (bs j, subchannel k) with no interference."""
+        return sinr(self.power[j], self.state.gains[user, j, k], 0.0,
+                    self.noise[j])
 
-def link_gamma(state: NetworkState, stations: _Stations,
-               active: list[list[bool]], user: int, j: int, k: int) -> float:
-    """SINR of user's link on (bs j, subchannel k); co-channel interference
-    comes from other same-band stations active on k (`active[j2][k]`)."""
-    gains, band = state.gains, stations.band[j]
-    interference = 0.0
-    for j2, band2 in enumerate(stations.band):
-        if j2 != j and band2 is band and active[j2][k]:
-            interference += stations.power[j2] * gains[user, j2, k]
-    return sinr(stations.power[j], gains[user, j, k], interference,
-                stations.noise[j])
+    def gamma(self, active: list[list[bool]], user: int, j: int,
+              k: int) -> float:
+        """SINR of user's link on (bs j, subchannel k); co-channel
+        interference comes from other same-band stations active on k
+        (`active[j2][k]`)."""
+        gains, band = self.state.gains, self.band[j]
+        interference = 0.0
+        for j2, band2 in enumerate(self.band):
+            if j2 != j and band2 is band and active[j2][k]:
+                interference += self.power[j2] * gains[user, j2, k]
+        return sinr(self.power[j], gains[user, j, k], interference,
+                    self.noise[j])
 
 
 def resolve_eurllc_host(state: NetworkState, occupied: np.ndarray, user: int,
@@ -346,8 +347,8 @@ def objective_breakdown(state: NetworkState, alloc: Allocation,
     must match bit for bit."""
     alloc.validate()
     n_bs = state.n_bs
-    return _score(state, _Stations(state), weights, alloc,
-                  alloc.occupied(n_bs), alloc.puncture_counts(n_bs))
+    return _score(Stations(state), weights, alloc, alloc.occupied(n_bs),
+                  alloc.puncture_counts(n_bs))
 
 
 class _Scorer:
@@ -358,19 +359,19 @@ class _Scorer:
     from its array, so it is an np.float64 where the reference's always
     was: the value's type, and so its repr, never depends on the path."""
 
-    def __init__(self, state: NetworkState, stations: _Stations,
-                 weights: ScalarizedObjective, occupied: np.ndarray,
-                 punct: np.ndarray, rates: np.ndarray, fembb_ok: np.ndarray,
-                 errors: np.ndarray, eurllc_ok: np.ndarray):
-        self.state, self.stations, self.weights = state, stations, weights
+    def __init__(self, stations: Stations, weights: ScalarizedObjective,
+                 occupied: np.ndarray, punct: np.ndarray, rates: np.ndarray,
+                 fembb_ok: np.ndarray, errors: np.ndarray,
+                 eurllc_ok: np.ndarray):
+        self.stations, self.weights = stations, weights
         self.active = (occupied | (punct > 0)).tolist()
         self.punct = punct
         self.rates, self.fembb_ok = rates, fembb_ok
         self.errors, self.eurllc_ok = errors, eurllc_ok
 
     def fembb(self, f: int, user: int, j: int, k: int) -> float:
-        state, rates = self.state, self.rates
-        gamma = link_gamma(state, self.stations, self.active, user, j, k)
+        state, rates = self.stations.state, self.rates
+        gamma = self.stations.gamma(self.active, user, j, k)
         rates[f] = punctured_rate(
             self.stations.frame[j].subchannel_bandwidth_hz, gamma,
             int(self.punct[j, k]), state.n_minislots)
@@ -378,8 +379,8 @@ class _Scorer:
         return fembb_term(state, self.weights, rates[f], len(rates))
 
     def eurllc(self, q: int, user: int, host: int, k: int) -> float:
-        state, errors = self.state, self.errors
-        gamma = link_gamma(state, self.stations, self.active, user, host, k)
+        state, errors = self.stations.state, self.errors
+        gamma = self.stations.gamma(self.active, user, host, k)
         errors[q] = eurllc_error(self.stations.frame[host], gamma)
         self.eurllc_ok[q] = errors[q] <= state.qos.eurllc_max_error
         return eurllc_term(state, self.weights, errors[q], len(errors))
@@ -399,14 +400,15 @@ class _Scorer:
                                   tuple(fembb_terms), tuple(eurllc_terms))
 
 
-def _score(state: NetworkState, stations: _Stations,
-           weights: ScalarizedObjective, alloc: Allocation,
-           occupied: np.ndarray, punct: np.ndarray) -> ObjectiveBreakdown:
+def _score(stations: Stations, weights: ScalarizedObjective,
+           alloc: Allocation, occupied: np.ndarray,
+           punct: np.ndarray) -> ObjectiveBreakdown:
     """Breakdown of a valid allocation with its occupancy and puncture
     grids, every user scored."""
+    state = stations.state
     fembb_ids, eurllc_ids = state.fembb_users, state.eurllc_users
     n_f, n_u = len(fembb_ids), len(eurllc_ids)
-    scorer = _Scorer(state, stations, weights, occupied, punct,
+    scorer = _Scorer(stations, weights, occupied, punct,
                      np.zeros(n_f), np.zeros(n_f, dtype=bool),
                      np.ones(n_u), np.zeros(n_u, dtype=bool))
     fembb_terms = [
@@ -422,16 +424,16 @@ def _score(state: NetworkState, stations: _Stations,
     return scorer.breakdown(fembb_terms, eurllc_terms)
 
 
-def _rescore(prev: ObjectiveBreakdown, state: NetworkState,
-             stations: _Stations, weights: ScalarizedObjective,
-             alloc: Allocation, fembb_ids: list[int], eurllc_ids: list[int],
+def _rescore(prev: ObjectiveBreakdown, stations: Stations,
+             weights: ScalarizedObjective, alloc: Allocation,
+             fembb_ids: list[int], eurllc_ids: list[int],
              occupied: np.ndarray, punct: np.ndarray, j: int,
              k: int) -> ObjectiveBreakdown:
     """Breakdown of `alloc` after one assignment or puncture at (bs j,
     subchannel k), given the breakdown `prev` of the allocation before it.
     Only links on subchannel k in j's band see the change, so only their
     users are scored again; every other user keeps its cached share."""
-    scorer = _Scorer(state, stations, weights, occupied, punct,
+    scorer = _Scorer(stations, weights, occupied, punct,
                      prev.fembb_rates_bps.copy(), prev.fembb_ok.copy(),
                      prev.eurllc_errors.copy(), prev.eurllc_ok.copy())
     band_of, band = stations.band, stations.band[j]
@@ -509,7 +511,7 @@ class JnsaEnv:
         self._cursor = 0
         self._clear_allocation()
         self._norm_gains = np.zeros_like(state.gains)
-        self._stations: _Stations | None = None  # set by reset
+        self._stations = Stations(state)  # constants fixed for the env's life
         self._breakdown: ObjectiveBreakdown | None = None  # set by reset
         self.conflict_penalty_total = 0.0
 
@@ -526,10 +528,8 @@ class JnsaEnv:
         self._order = order
         self._cursor = 0
         self._clear_allocation()
-        self._stations = _Stations(self.state)
-        self._breakdown = _score(self.state, self._stations,
-                                 self.objective_cfg, self._alloc,
-                                 self._occupied, self._punct)
+        self._breakdown = _score(self._stations, self.objective_cfg,
+                                 self._alloc, self._occupied, self._punct)
         self.conflict_penalty_total = 0.0
         if self.done:
             return np.zeros(0)
@@ -654,9 +654,9 @@ class JnsaEnv:
             else:
                 punct = punct.copy()
                 punct[j, k] += 1
-            br = _rescore(self._breakdown, state, self._stations,
-                          self.objective_cfg, candidate, self.fembb_ids,
-                          self.eurllc_ids, occupied, punct, j, k)
+            br = _rescore(self._breakdown, self._stations, self.objective_cfg,
+                          candidate, self.fembb_ids, self.eurllc_ids,
+                          occupied, punct, j, k)
             accepted = ((br.fembb_ok[i] or not state.fembb_qos_enforced)
                         if fembb else br.eurllc_ok[i])
         if accepted:

@@ -34,15 +34,21 @@ import numpy as np
 from . import __version__
 from .agents import Algorithm, DqnTrainer, ExplorationSchedule, TrainerConfig
 from .baselines import optimal_allocation
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, require_positive
 from .env import (Allocation, JnsaEnv, ScalarizedObjective, apply_mobility,
                   attach_serving, objective_breakdown, perturb_csi)
 from .nets import LEARNER_DTYPE, save_checkpoint
 from .scenario import (NetworkState, UserClass, generate_scenario,
                        make_sbn_scenario, make_sc_scenario)
 
-ALGORITHMS = ("dqn", "double_dqn", "duel_dqn", "optimal")
-ENV_VARIANTS = ("mbn", "sbn", "sc", "sc_noqos")
+ALGORITHMS = tuple(a.value for a in Algorithm) + ("optimal",)
+# each environment variant and the transform of the base scenario it runs on
+ENV_VARIANTS = {
+    "mbn": NetworkState.copy,
+    "sbn": make_sbn_scenario,
+    "sc": lambda base: make_sc_scenario(base, qos_enforced=True),
+    "sc_noqos": lambda base: make_sc_scenario(base, qos_enforced=False),
+}
 SWEEP_WHITELIST = ("n_fembb", "n_eurllc", "n_tbs", "aerial_fraction",
                    "hotspot_fraction", "subchannels_per_band",
                    "minislots_per_subchannel")
@@ -58,6 +64,8 @@ SUMMARY_COLUMNS = ("algorithm", "env_variant", "sweep_param", "sweep_value",
                    "fembb_rate_bps_mean", "fembb_rate_bps_sem",
                    "eurllc_feasible_count_mean", "eurllc_feasible_count_sem",
                    "episodes_to_95_mean")
+ROBUSTNESS_COLUMNS = ("perturbation", "value", "fembb_rate_bps_mean",
+                      "fembb_rate_bps_sem", "n")
 
 
 @dataclass
@@ -78,12 +86,17 @@ class ExperimentSpec:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, "
                               f"got {self.algorithm!r}")
         if self.env_variant not in ENV_VARIANTS:
-            raise ConfigError(f"env_variant must be one of {ENV_VARIANTS}, "
+            raise ConfigError(f"env_variant must be one of "
+                              f"{tuple(ENV_VARIANTS)}, "
                               f"got {self.env_variant!r}")
-        if self.episodes <= 0:
-            raise ConfigError("episodes must be > 0")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        require_positive("episodes", self.episodes, integral=True)
+        require_positive("eval_episodes", self.eval_episodes, integral=True)
+        require_positive("epsilon_decay_fraction", self.epsilon_decay_fraction)
+        if (not self.seeds or len(set(self.seeds)) != len(self.seeds)
+                or any(isinstance(s, bool) or not isinstance(s, int) or s < 0
+                       for s in self.seeds)):
+            raise ConfigError(f"seeds must be one or more distinct ints >= 0, "
+                              f"got {self.seeds!r}")
         if (self.sweep_param is None) != (self.sweep_values is None):
             raise ConfigError("sweep_param and sweep_values go together")
         if self.sweep_param is not None:
@@ -94,8 +107,6 @@ class ExperimentSpec:
                 raise ConfigError("sweep_values must be non-empty")
             for value in self.sweep_values:
                 self.scenario.replace(**{self.sweep_param: value})
-        if self.eval_episodes <= 0:
-            raise ConfigError("eval_episodes must be > 0")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -133,15 +144,8 @@ def derived_seed(*parts: int) -> int:
 
 
 def build_variant_state(base: NetworkState, variant: str) -> NetworkState:
-    if variant == "mbn":
-        return base.copy()
-    if variant == "sbn":
-        return make_sbn_scenario(base)
-    if variant == "sc":
-        return make_sc_scenario(base, qos_enforced=True)
-    if variant == "sc_noqos":
-        return make_sc_scenario(base, qos_enforced=False)
-    raise ConfigError(f"env_variant must be one of {ENV_VARIANTS}, got {variant!r}")
+    """A new state for `variant` (a key of ENV_VARIANTS) from `base`."""
+    return ENV_VARIANTS[variant](base)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +327,7 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
 # ---------------------------------------------------------------------------
 # The experiment driver
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if value is None:
@@ -411,16 +415,11 @@ def run_experiment(spec: ExperimentSpec,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         checkpoint_dir = out_path / "checkpoints"
-        manifest = {"spec": spec.to_dict(), "version": __version__,
-                    "config_hash": chash,
-                    "learner_dtype": np.dtype(LEARNER_DTYPE).name,
-                    "python": platform.python_version(),
-                    "numpy": np.__version__}
-        (out_path / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True))
-        _write_rows(out_path / "runs.csv", [RUNS_COLUMNS], "w")
-        _write_rows(out_path / "rewards.csv", [("run_id", "episode", "reward")],
-                    "w")
+        write_manifest(out_path, {"spec": spec.to_dict(),
+                                  "config_hash": chash})
+        write_rows(out_path / "runs.csv", [RUNS_COLUMNS], "w")
+        write_rows(out_path / "rewards.csv", [("run_id", "episode", "reward")],
+                   "w")
 
     records: list[RunRecord] = []
     for index, (sweep_param, sweep_value, seed) in enumerate(grid):
@@ -430,20 +429,31 @@ def run_experiment(spec: ExperimentSpec,
                              sweep_value, seed, chash, checkpoint_dir)
         records.append(record)
         if out_path is not None:
-            _write_rows(out_path / "runs.csv", [_record_row(record)])
-            _write_rows(out_path / "rewards.csv",
-                        [(record.run_id, episode, repr(float(reward)))
-                         for episode, reward in enumerate(record.rewards,
-                                                          start=1)])
+            write_rows(out_path / "runs.csv", [_record_row(record)])
+            write_rows(out_path / "rewards.csv",
+                       [(record.run_id, episode, repr(float(reward)))
+                        for episode, reward in enumerate(record.rewards,
+                                                         start=1)])
 
     if out_path is not None:
-        summary = [[_fmt(row[col]) for col in SUMMARY_COLUMNS]
+        summary = [[format_cell(row[col]) for col in SUMMARY_COLUMNS]
                    for row in summarize(records)]
-        _write_rows(out_path / "summary.csv", [SUMMARY_COLUMNS] + summary, "w")
+        write_rows(out_path / "summary.csv", [SUMMARY_COLUMNS] + summary, "w")
     return records
 
 
-def _write_rows(path: Path, rows, mode: str = "a") -> None:
+def write_manifest(out_path: Path, fields: dict) -> None:
+    """Write manifest.json: `fields` plus the package version, the
+    learners' float type and the python and numpy versions."""
+    manifest = {**fields, "version": __version__,
+                "learner_dtype": np.dtype(LEARNER_DTYPE).name,
+                "python": platform.python_version(),
+                "numpy": np.__version__}
+    (out_path / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def write_rows(path: Path, rows, mode: str = "a") -> None:
     """Write CSV rows to path, appending by default. The file is closed
     again on return, so the rows outlive a later crash of the run."""
     with open(path, mode, newline="") as fh:
@@ -457,7 +467,7 @@ def _record_row(r: RunRecord) -> list[str]:
         to95 = "not_converged"
     else:
         to95 = r.episodes_to_95
-    return [_fmt(v) for v in (
+    return [format_cell(v) for v in (
         r.run_id, r.algorithm, r.env_variant, r.sweep_param, r.sweep_value,
         r.seed, r.episodes, r.final_objective, r.fembb_rate_bps,
         r.eurllc_feasible_count, to95, r.wall_clock_s, r.config_hash)]

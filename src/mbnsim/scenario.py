@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .config import ScenarioConfig
-from .phy import (Band, ChannelParams, noise_power_w, rf_path_gain,
-                  thz_path_gain, thz_subchannel_frequency)
+from .phy import (Band, ChannelParams, rf_path_gain, thz_path_gain,
+                  thz_subchannel_frequency)
 from .service import FrameConfig, QosTargets
 
 TERRESTRIAL_HEIGHT_M = 1.5
@@ -107,20 +107,6 @@ class NetworkState:
     def eurllc_users(self) -> list[int]:
         return [i for i, u in enumerate(self.users)
                 if u.user_class is UserClass.EURLLC]
-
-    def band_of(self, j: int) -> Band:
-        return self.topology.stations[j].band
-
-    def frame_for(self, j: int) -> FrameConfig:
-        return self.frame_rf if self.band_of(j) is Band.RF else self.frame_thz
-
-    def subchannel_power_w(self, j: int) -> float:
-        # transmit power split evenly across the band's subchannels
-        return self.topology.stations[j].max_power_w / self.n_subchannels
-
-    def noise_w(self, j: int) -> float:
-        return noise_power_w(self.channel,
-                             self.frame_for(j).subchannel_bandwidth_hz)
 
     def copy(self) -> "NetworkState":
         new = copy.copy(self)

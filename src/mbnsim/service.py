@@ -29,11 +29,11 @@ class FrameConfig:
 
     def __post_init__(self):
         if self.blocklength_symbols <= 0 or self.bits_per_block <= 0:
-            raise ValueError("blocklength and block bits must be positive")
+            raise ValueError("blocklength_symbols and bits_per_block must be positive")
         if self.minislots_per_subchannel <= 0:
             raise ValueError("minislots_per_subchannel must be positive")
         if self.block_duration_s <= 0 or self.subchannel_bandwidth_hz <= 0:
-            raise ValueError("block duration and bandwidth must be positive")
+            raise ValueError("block_duration_s and subchannel_bandwidth_hz must be positive")
 
 
 @dataclass(frozen=True)

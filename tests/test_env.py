@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from mbnsim.config import ScenarioConfig
 from mbnsim.env import (Allocation, AllocationError, JnsaEnv,
-                        ScalarizedObjective, _Stations, apply_mobility,
+                        ScalarizedObjective, Stations, apply_mobility,
                         attach_serving, objective, objective_breakdown,
                         perturb_csi, resolve_eurllc_host)
-from mbnsim.phy import noise_power_w, rf_path_gain
+from mbnsim.phy import Band, noise_power_w, rf_path_gain
 from mbnsim.scenario import (UserClass, _gain_log_bounds, compute_gain_tensor,
                              generate_scenario, make_sbn_scenario,
-                             make_sc_scenario)
+                             make_sc_scenario, refresh_fading)
 from mbnsim.service import (decoding_error_probability, punctured_rate,
                             shannon_rate)
 
@@ -338,7 +338,8 @@ class TestEnvStep:
         # recomputed here straight from the service formulas
         state = env.state
         w_sub = state.channel.rf_subchannel_bandwidth_hz
-        gamma = (state.subchannel_power_w(0) * state.gains[user, 0, k]
+        p_sub = state.topology.stations[0].max_power_w / state.n_subchannels
+        gamma = (p_sub * state.gains[user, 0, k]
                  / noise_power_w(state.channel, w_sub))
         cfg = env.objective_cfg
         expected = cfg.weight_rate * (
@@ -379,8 +380,9 @@ class TestEnvStep:
         env = JnsaEnv(state, seed=3, refresh_fading_on_reset=False)
         env.reset()
         user = env.current_agent
-        gamma = (state.subchannel_power_w(0) * state.gains[user, 0, 0]
-                 / state.noise_w(0))
+        p_sub = state.topology.stations[0].max_power_w / state.n_subchannels
+        gamma = (p_sub * state.gains[user, 0, 0] / noise_power_w(
+            state.channel, state.channel.rf_subchannel_bandwidth_hz))
         assert not eurllc_feasible(state.frame_rf, gamma, state.qos)
         _, reward, _ = env.step(0)
         assert reward == -env.conflict_penalty
@@ -544,14 +546,29 @@ class TestIncrementalScoring:
     """The env scores a step from its kept grids and the committed
     breakdown; `objective_breakdown` from scratch is the reference."""
 
-    def test_station_constants_match_state_accessors(self):
-        state = make_state(n_tbs=3)
-        stations = _Stations(state)
-        ids = range(state.n_bs)
-        assert stations.band == [state.band_of(j) for j in ids]
-        assert stations.power == [state.subchannel_power_w(j) for j in ids]
-        assert stations.noise == [state.noise_w(j) for j in ids]
-        assert stations.frame == [state.frame_for(j) for j in ids]
+    def test_stations_match_hand_computed_constants(self):
+        cfg = desk_cfg(n_tbs=3)
+        state = generate_scenario(cfg, seed=42)
+        stations = Stations(state)
+        channel, c = state.channel, cfg.subchannels_per_band
+        noise_rf = noise_power_w(channel, cfg.rf_total_bandwidth_hz / c)
+        noise_thz = noise_power_w(channel, cfg.thz_total_bandwidth_hz / c)
+        assert stations.band == [Band.RF] + [Band.THZ] * 3
+        assert stations.power == ([cfg.rbs_power_w / c]
+                                  + [cfg.tbs_power_w / c] * 3)
+        assert stations.noise == [noise_rf] + [noise_thz] * 3
+        assert stations.frame == [state.frame_rf] + [state.frame_thz] * 3
+        user, k = 0, 1
+        for j in range(state.n_bs):
+            want = (stations.power[j] * state.gains[user, j, k]
+                    / stations.noise[j])
+            assert stations.free_gamma(user, j, k) == want
+        # a table reads the gains when called, so a fading refresh shows
+        before = stations.free_gamma(user, 0, k)
+        refresh_fading(state, np.random.default_rng(0))
+        after = stations.free_gamma(user, 0, k)
+        assert after != before and after == (
+            stations.power[0] * state.gains[user, 0, k] / noise_rf)
 
     @settings(deadline=None)
     @given(variant=st.sampled_from(sorted(SCORING_VARIANTS)),

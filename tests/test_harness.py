@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbnsim import cli
+from mbnsim import __version__, cli
 from mbnsim.agents import TrainerConfig
 from mbnsim.baselines import optimal_allocation
 from mbnsim.config import ConfigError, ScenarioConfig, save_scenario_config
@@ -80,6 +80,26 @@ class TestSpecValidation:
     def test_empty_seeds(self):
         with pytest.raises(ConfigError, match="seeds"):
             tiny_spec(seeds=()).validate()
+
+    def test_duplicate_seeds(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            tiny_spec(seeds=(1, 2, 1)).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("episodes", 2.5), ("episodes", True), ("eval_episodes", 2.5),
+        ("eval_episodes", True), ("eval_episodes", 0),
+        ("epsilon_decay_fraction", float("nan")),
+        ("epsilon_decay_fraction", float("inf")),
+        ("epsilon_decay_fraction", 0.0), ("epsilon_decay_fraction", -0.5),
+    ])
+    def test_bad_counts_and_fraction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_spec(**{field: value}).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "1"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            tiny_spec(seeds=(2, seed)).validate()
 
     def test_sweep_param_whitelist(self):
         with pytest.raises(ConfigError, match="sweep_param"):
@@ -366,6 +386,47 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
 
+    def test_evaluate_manifest_records_versions(self, tmp_path):
+        rc = cli.main(["evaluate", "--config", str(self._write_cfg(tmp_path)),
+                       "--use-oracle", "--perturbation", "csi", "--values",
+                       "1", "--noise-seeds", "2",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "out/manifest.json").read_text())
+        assert manifest["learner_dtype"] == "float32"
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["version"] == __version__
+        assert manifest["perturbation"] == "csi"
+        assert manifest["values"] == [1.0]
+        assert manifest["scenario"]["n_fembb"] == 2
+
+    @pytest.mark.parametrize("yaml_text, argv", [
+        ("subchannels_per_band: 0\n", ["oracle", "--seed", "1"]),
+        ("minislots_per_subchannel: 0\n", ["oracle", "--seed", "1"]),
+        ("eurllc_max_error: 2\n", ["oracle", "--seed", "1"]),
+        ("rf_pathloss_exponent: 1\n", ["oracle", "--seed", "1"]),
+        ("blocklength_symbols: 0\n", ["oracle", "--seed", "1"]),
+        ("seed: -1\n", ["oracle", "--seed", "1"]),
+        ("", ["sweep", "--algo", "optimal", "--episodes", "1", "--seed", "1",
+              "--param", "minislots_per_subchannel", "--values", "2", "0"]),
+        ("", ["oracle", "--seed", "1", "-1"]),
+        ("", ["oracle", "--seed", "1", "1"]),
+        ("", ["train", "--algo", "dqn", "--seed", "1", "--episodes", "0"]),
+    ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
+            "pathloss_below_2", "zero_blocklength", "negative_config_seed",
+            "zero_minislots_sweep_value", "negative_seed", "repeated_seed",
+            "zero_episodes"])
+    def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml_text)
+        rc = cli.main([*argv, "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("no_such_field: 3\n")
@@ -476,6 +537,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig.desk_default().replace(**{field: -0.5})
         assert getattr(ScenarioConfig(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("subchannels_per_band", 0), ("minislots_per_subchannel", 0),
+        ("eurllc_max_error", 2.0), ("rf_pathloss_exponent", 1.0),
+        ("blocklength_symbols", 0), ("bits_per_block", 0),
+        ("block_duration_s", 0.0), ("fembb_min_rate_bps", 0.0),
+        ("rf_total_bandwidth_hz", -1.0), ("seed", -1),
+    ])
+    def test_built_objects_checked_on_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig.desk_default().replace(**{field: value})
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
