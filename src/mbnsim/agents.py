@@ -55,7 +55,6 @@ class TrainerConfig:
     buffer_capacity: int = 10_000
     hidden_sizes: tuple[int, ...] = (128, 128)
     grad_clip: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
@@ -143,11 +142,11 @@ class DqnTrainer:
 
     def __init__(self, variant: Algorithm, obs_dim: int, action_count: int,
                  cfg: TrainerConfig,
-                 schedule: ExplorationSchedule | None = None):
+                 schedule: ExplorationSchedule | None = None, seed: int = 0):
         self.variant = variant
         self.cfg = cfg
         self.schedule = schedule or ExplorationSchedule()
-        self.rng = np.random.default_rng(cfg.seed)
+        self.rng = np.random.default_rng(seed)
         self.online = build_network(variant.network_kind, obs_dim,
                                     cfg.hidden_sizes, action_count, self.rng)
         self.target = self.online.clone()

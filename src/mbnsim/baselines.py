@@ -36,14 +36,12 @@ MAX_SUBCHANNELS = 10
 NODE_BUDGET = 20_000_000
 
 
-def _static_space_bound(state: NetworkState) -> float:
-    n_bs, c, m = state.n_bs, state.n_subchannels, state.n_minislots
-    bound = 1.0
-    for user in state.fembb_users:
-        bound *= 1 + int(state.reachable[user].sum()) * c
-    for _ in state.eurllc_users:
-        bound *= 1 + c * m
-    return bound
+def check_instance_size(n_users: int, n_subchannels: int) -> None:
+    """Raise InstanceSizeError for an instance beyond the exact-search limits."""
+    if n_users > MAX_USERS or n_subchannels > MAX_SUBCHANNELS:
+        raise InstanceSizeError(
+            f"instance exceeds search limits: {n_users} users (at most "
+            f"{MAX_USERS}), {n_subchannels} subchannels (at most {MAX_SUBCHANNELS})")
 
 
 def _suffix_sums(values) -> np.ndarray:
@@ -60,11 +58,7 @@ def optimal_allocation(state: NetworkState,
     fembb_ids = state.fembb_users
     eurllc_ids = state.eurllc_users
     n_f, n_u = len(fembb_ids), len(eurllc_ids)
-    if n_f + n_u > MAX_USERS or state.n_subchannels > MAX_SUBCHANNELS:
-        raise InstanceSizeError(
-            f"instance exceeds search limits ({n_f + n_u} users, "
-            f"{state.n_subchannels} subchannels; static search space "
-            f"~{_static_space_bound(state):.3g} nodes)")
+    check_instance_size(n_f + n_u, state.n_subchannels)
     c, m = state.n_subchannels, state.n_minislots
     n_bs = state.n_bs
     stations = Stations(state)

@@ -12,15 +12,13 @@ import sys
 from pathlib import Path
 
 from .agents import Algorithm
-from .baselines import InstanceSizeError
+from .baselines import InstanceSizeError, optimal_allocation
 from .config import ConfigError, ScenarioConfig, load_scenario_config
-from .env import ScalarizedObjective
 from .harness import (ALGORITHMS, ENV_VARIANTS, ROBUSTNESS_COLUMNS,
-                      ExperimentSpec, build_variant_state, format_cell,
+                      ExperimentSpec, build_problem, format_cell,
                       robustness_sweep, run_experiment, write_manifest,
                       write_rows)
 from .nets import CheckpointError, load_checkpoint
-from .scenario import generate_scenario
 from . import __version__
 
 
@@ -58,8 +56,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = _spec_from_args(args, "optimal")
-    records = run_experiment(spec, args.out)
+    records = run_experiment(_spec_from_args(args, "optimal"), args.out)
     alloc_dir = Path(args.out) / "allocations"
     alloc_dir.mkdir(parents=True, exist_ok=True)
     for record in records:
@@ -71,14 +68,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _scenario_from_args(args)
-    base = generate_scenario(cfg, seed=cfg.seed)
-    state = build_variant_state(base, args.env_variant)
-    objective_cfg = ScalarizedObjective.for_state(
-        state, weight_rate=cfg.weight_rate,
-        violation_penalty=cfg.violation_penalty)
+    state, objective_cfg = build_problem(cfg, args.env_variant, cfg.seed)
 
     if args.use_oracle:
-        from .baselines import optimal_allocation
         decider = {"allocation": optimal_allocation(state, objective_cfg)[0]}
     else:
         if not (args.checkpoint_fembb and args.checkpoint_eurllc):

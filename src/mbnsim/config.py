@@ -142,6 +142,10 @@ class ScenarioConfig:
             eurllc_max_error=self.eurllc_max_error,
         )
 
+    def aerial_count(self, count: int) -> int:
+        """How many of one class's `count` users are aerial."""
+        return int(round(self.aerial_fraction * count))
+
     def replace(self, **overrides) -> "ScenarioConfig":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
         if unknown:

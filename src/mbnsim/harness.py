@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .agents import Algorithm, DqnTrainer, ExplorationSchedule, TrainerConfig
-from .baselines import optimal_allocation
+from .baselines import check_instance_size, optimal_allocation
 from .config import ConfigError, ScenarioConfig, require_positive
 from .env import (Allocation, JnsaEnv, ScalarizedObjective, apply_mobility,
                   attach_serving, objective_breakdown, perturb_csi)
@@ -99,14 +99,21 @@ class ExperimentSpec:
                               f"got {self.seeds!r}")
         if (self.sweep_param is None) != (self.sweep_values is None):
             raise ConfigError("sweep_param and sweep_values go together")
+        scenarios = [self.scenario]
         if self.sweep_param is not None:
             if self.sweep_param not in SWEEP_WHITELIST:
                 raise ConfigError(f"sweep_param must be one of {SWEEP_WHITELIST}, "
                                   f"got {self.sweep_param!r}")
             if not self.sweep_values:
                 raise ConfigError("sweep_values must be non-empty")
-            for value in self.sweep_values:
-                self.scenario.replace(**{self.sweep_param: value})
+            scenarios = [self.scenario.replace(**{self.sweep_param: value})
+                         for value in self.sweep_values]
+        if self.algorithm == "optimal":
+            for cfg in scenarios:
+                counts = (cfg.n_fembb, cfg.n_eurllc)
+                if self.env_variant in ("sc", "sc_noqos"):  # terrestrial only
+                    counts = [n - cfg.aerial_count(n) for n in counts]
+                check_instance_size(sum(counts), cfg.subchannels_per_band)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -143,9 +150,13 @@ def derived_seed(*parts: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def build_variant_state(base: NetworkState, variant: str) -> NetworkState:
-    """A new state for `variant` (a key of ENV_VARIANTS) from `base`."""
-    return ENV_VARIANTS[variant](base)
+def build_problem(cfg: ScenarioConfig, variant: str, seed: int
+                  ) -> tuple[NetworkState, ScalarizedObjective]:
+    """`variant`'s state drawn from `cfg` with `seed`, and its objective."""
+    state = ENV_VARIANTS[variant](generate_scenario(cfg, seed=seed))
+    return state, ScalarizedObjective.for_state(
+        state, weight_rate=cfg.weight_rate,
+        violation_penalty=cfg.violation_penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +183,9 @@ def train_policies(env: JnsaEnv, algorithm: Algorithm, episodes: int,
             continue
         decay = max(1, int(episodes * n_agents * epsilon_decay_fraction))
         schedule = ExplorationSchedule(decay_steps=decay)
-        cfg = dataclasses.replace(
-            trainer_cfg, seed=derived_seed(seed, 1 if cls is UserClass.FEMBB else 2))
-        trainers[cls] = DqnTrainer(algorithm, obs_dim, n_actions, cfg,
-                                   schedule)
+        trainers[cls] = DqnTrainer(
+            algorithm, obs_dim, n_actions, trainer_cfg, schedule,
+            seed=derived_seed(seed, 1 if cls is UserClass.FEMBB else 2))
 
     def push_and_train(cls: UserClass, transition: tuple, next_obs,
                        done: bool) -> None:
@@ -339,14 +349,10 @@ def _run_single(spec: ExperimentSpec, cfg: ScenarioConfig, run_id: str,
                 sweep_param: str, sweep_value, seed: int,
                 chash: str, checkpoint_dir: Path | None) -> RunRecord:
     t0 = time.perf_counter()
-    scen_seed = derived_seed(cfg.seed, seed, 0)
+    state, objective_cfg = build_problem(cfg, spec.env_variant,
+                                         derived_seed(cfg.seed, seed, 0))
     eval_seed = derived_seed(cfg.seed, seed, 1)
     env_seed = derived_seed(cfg.seed, seed, 2)
-    base = generate_scenario(cfg, seed=scen_seed)
-    state = build_variant_state(base, spec.env_variant)
-    objective_cfg = ScalarizedObjective.for_state(
-        state, weight_rate=cfg.weight_rate,
-        violation_penalty=cfg.violation_penalty)
 
     rewards: list[float] = []
     if spec.algorithm == "optimal":
@@ -368,12 +374,10 @@ def _run_single(spec: ExperimentSpec, cfg: ScenarioConfig, run_id: str,
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
             echo = {"run_id": run_id, "algorithm": spec.algorithm,
                     "config_hash": chash}
-            if trainer_f is not None:
-                save_checkpoint(trainer_f.online,
-                                checkpoint_dir / f"{run_id}_fembb.json", echo)
-            if trainer_u is not None:
-                save_checkpoint(trainer_u.online,
-                                checkpoint_dir / f"{run_id}_eurllc.json", echo)
+            for role, trainer in (("fembb", trainer_f), ("eurllc", trainer_u)):
+                if trainer is not None:
+                    save_checkpoint(trainer.online,
+                                    checkpoint_dir / f"{run_id}_{role}.json", echo)
 
     episodes_to_95 = None
     if len(rewards) >= CONVERGENCE_WINDOW:

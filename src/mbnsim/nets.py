@@ -32,8 +32,8 @@ class _Network:
     `params` is the list of per-layer weight/bias views into it (w0, b0, w1,
     b1, ...). `grad` is the gradient buffer `backward` fills, laid out the
     same way and of the same type.
-    Subclasses give their (fan_in, fan_out) layers in `_layer_shapes` and
-    their output head in `forward` and `backward`."""
+    Subclasses share the ReLU trunk and give their (fan_in, fan_out) layers in
+    `_layer_shapes` and their output head in `_head` and `_head_backward`."""
 
     kind: str
 
@@ -79,9 +79,10 @@ class _Network:
         # in place: rebinding `flat` would cut the `params` views off from it
         self.flat[...] = other.flat
 
-    def _hidden_forward(self, x: np.ndarray, cache: list | None) -> np.ndarray:
-        """ReLU hidden layers on a batch. The cache gets (input, pre-activation)
-        per hidden layer, then the head's input."""
+    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """Q-values of an observation or batch; fills `cache` for `backward`."""
+        if x.ndim == 1:
+            return self.forward(x[None, :], cache)[0]
         if x.shape[1] != self.input_dim:
             raise ValueError(f"observation dim {x.shape[1]} != {self.input_dim}")
         # one cast at the boundary: a float64 batch would otherwise promote
@@ -94,19 +95,21 @@ class _Network:
             h = np.maximum(z, 0.0)
         if cache is not None:
             cache.append(h)
-        return h
+        return self._head(h)
 
-    def _hidden_backward(self, cache: list, grad: np.ndarray,
-                         grad_views: list[np.ndarray]) -> None:
-        """Back-propagate dloss/d(head input) through the hidden layers,
-        writing their gradients into `grad_views`."""
+    def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
+        Returns the network's own `grad` buffer: the next call overwrites it."""
+        views = self._grad_views
+        grad = self._head_backward(cache[-1], dq, views)
         for layer in reversed(range(len(self.hidden_sizes))):
             h_in, z = cache[layer]
             grad = grad * (z > 0.0)
-            np.matmul(h_in.T, grad, out=grad_views[2 * layer])
-            grad.sum(axis=0, out=grad_views[2 * layer + 1])
+            np.matmul(h_in.T, grad, out=views[2 * layer])
+            grad.sum(axis=0, out=views[2 * layer + 1])
             if layer > 0:
                 grad = grad @ self.params[2 * layer].T
+        return self.grad
 
 
 class QNetwork(_Network):
@@ -118,21 +121,14 @@ class QNetwork(_Network):
         sizes = [self.input_dim, *self.hidden_sizes, self.action_count]
         return list(zip(sizes[:-1], sizes[1:]))
 
-    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        if x.ndim == 1:
-            return self.forward(x[None, :], cache)[0]
-        h = self._hidden_forward(x, cache)
+    def _head(self, h: np.ndarray) -> np.ndarray:
         return h @ self.params[-2] + self.params[-1]
 
-    def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
-        Returns the network's own `grad` buffer: the next call overwrites it."""
-        views = self._grad_views
-        h = cache[-1]
+    def _head_backward(self, h: np.ndarray, dq: np.ndarray,
+                       views: list[np.ndarray]) -> np.ndarray:
         np.matmul(h.T, dq, out=views[-2])
         dq.sum(axis=0, out=views[-1])
-        self._hidden_backward(cache, dq @ self.params[-2].T, views)
-        return self.grad
+        return dq @ self.params[-2].T
 
 
 class DuelingQNetwork(_Network):
@@ -150,20 +146,14 @@ class DuelingQNetwork(_Network):
         return [*zip(sizes[:-1], sizes[1:]), (sizes[-1], 1),
                 (sizes[-1], self.action_count)]
 
-    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        if x.ndim == 1:
-            return self.forward(x[None, :], cache)[0]
-        h = self._hidden_forward(x, cache)
+    def _head(self, h: np.ndarray) -> np.ndarray:
         wv, bv, wa, ba = self.params[-4:]
         v = h @ wv + bv                          # (B, 1)
         a = h @ wa + ba                          # (B, A)
         return v + a - a.mean(axis=1, keepdims=True)
 
-    def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
-        Returns the network's own `grad` buffer: the next call overwrites it."""
-        views = self._grad_views
-        h = cache[-1]
+    def _head_backward(self, h: np.ndarray, dq: np.ndarray,
+                       views: list[np.ndarray]) -> np.ndarray:
         wv, _, wa, _ = self.params[-4:]
         dv = dq.sum(axis=1, keepdims=True)       # (B, 1)
         da = dq - dq.mean(axis=1, keepdims=True)
@@ -171,8 +161,7 @@ class DuelingQNetwork(_Network):
         dv.sum(axis=0, out=views[-3])
         np.matmul(h.T, da, out=views[-2])
         da.sum(axis=0, out=views[-1])
-        self._hidden_backward(cache, dv @ wv.T + da @ wa.T, views)
-        return self.grad
+        return dv @ wv.T + da @ wa.T
 
 
 def build_network(kind: str, input_dim: int, hidden_sizes, action_count: int,
@@ -206,10 +195,10 @@ class AdamOptimizer:
     so a step allocates nothing the size of the parameters and its results
     are bit-identical to that expression."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
@@ -217,20 +206,20 @@ class AdamOptimizer:
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v,
                                       self._scratch):
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=a)
+            m *= self.BETA1
+            np.multiply(1.0 - self.BETA1, g, out=a)
             m += a
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
+            v *= self.BETA2
+            np.multiply(1.0 - self.BETA2, g, out=a)
             a *= g                       # ((1-b2)*g)*g, not (1-b2)*(g*g)
             v += a
             np.divide(v, c2, out=a)
             np.sqrt(a, out=a)
-            a += self.eps
+            a += self.EPS
             np.divide(m, c1, out=b)
             np.multiply(self.lr, b, out=b)
             b /= a
@@ -240,6 +229,22 @@ class AdamOptimizer:
 # ---------------------------------------------------------------------------
 # Checkpoints: versioned JSON with layer sizes and flat weight arrays
 
+def _shortest_floats(flat: np.ndarray) -> list[float]:
+    """Floats whose reprs are the shortest decimals that parse back to
+    `flat`'s values in its dtype: at most 9 digits for float32, not 17.
+    Rounding to 12 decimals or fewer finds most below 2**24 (higher, the
+    shortest may round left of the point); numpy's 3x slower repr does the rest."""
+    x = flat.astype(np.float64)
+    out = np.full_like(x, np.nan)
+    for decimals in range(12, -1, -1):  # fewest decimals last, so they win
+        d = np.round(x, decimals)  # float32 x * 10**decimals is exact
+        hit = (d.astype(flat.dtype) == flat) & (np.abs(x) < 2**24)
+        out[hit] = d[hit]
+    missed = np.isnan(out)
+    out[missed] = list(map(float, flat[missed].astype(str)))
+    return out.tolist()
+
+
 def checkpoint_dict(model, config_echo: dict | None = None) -> dict:
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -248,7 +253,7 @@ def checkpoint_dict(model, config_echo: dict | None = None) -> dict:
         "input_dim": model.input_dim,
         "hidden_sizes": list(model.hidden_sizes),
         "action_count": model.action_count,
-        "arrays": [{"shape": list(p.shape), "data": p.ravel().tolist()}
+        "arrays": [{"shape": list(p.shape), "data": _shortest_floats(p.ravel())}
                    for p in model.params],
         "config": config_echo or {},
     }

@@ -198,7 +198,7 @@ def generate_scenario(cfg: ScenarioConfig,
     uid = 0
     for user_class, count in ((UserClass.FEMBB, cfg.n_fembb),
                               (UserClass.EURLLC, cfg.n_eurllc)):
-        n_aerial = int(round(cfg.aerial_fraction * count))
+        n_aerial = cfg.aerial_count(count)
         n_terr = count - n_aerial
         n_hot = int(round(cfg.hotspot_fraction * n_terr)) if cfg.n_tbs else 0
         for idx in range(count):

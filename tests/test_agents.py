@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -354,9 +354,9 @@ class TestExploration:
 
 def make_trainer(variant=Algorithm.DQN, seed=0, **cfg_kwargs):
     defaults = dict(batch_size=4, buffer_capacity=64, target_sync_period=5,
-                    hidden_sizes=(8, 8), seed=seed)
+                    hidden_sizes=(8, 8))
     defaults.update(cfg_kwargs)
-    return DqnTrainer(variant, 6, 4, TrainerConfig(**defaults))
+    return DqnTrainer(variant, 6, 4, TrainerConfig(**defaults), seed=seed)
 
 
 class TestTrainer:
@@ -568,6 +568,30 @@ class TestCheckpoints:
             assert type(back) is type(model)
             assert back.flat.dtype == dtype
             assert np.array_equal(back.flat, model.flat)
+
+    # float32 bit patterns: +-0, the smallest and largest subnormals, +-max
+    SPECIAL_FLOAT32 = [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF,
+                       0x7F7FFFFF, 0xFF7FFFFF]
+
+    @given(st.lists(st.integers(0, 2**32 - 1).filter(
+        lambda bits: (bits >> 23) & 0xFF != 0xFF),  # inf and NaN excluded
+        min_size=12, max_size=12))
+    @example(SPECIAL_FLOAT32 * 2)
+    def test_float32_round_trip_bit_exact_in_shortest_repr(self, patterns):
+        model = QNetwork(2, (), 4, np.random.default_rng(0))  # 12 weights
+        model.flat.view(np.uint32)[...] = patterns
+        text = json.dumps(checkpoint_dict(model))
+        back = model_from_checkpoint(json.loads(text))
+        assert back.flat.dtype == np.float32
+        assert np.array_equal(back.flat.view(np.uint32),
+                              model.flat.view(np.uint32))
+        # the shortest float32 repr has at most 9 significant digits, so at
+        # most 19 characters; written as float64 a weight takes up to 17 digits
+        for entry in json.loads(text)["arrays"]:
+            for value in entry["data"]:
+                mantissa = repr(value).split("e")[0].lstrip("-")
+                assert len(mantissa.replace(".", "").strip("0")) <= 9
+                assert len(json.dumps(value)) <= 19
 
     def test_version_1_loads_as_float64(self):
         model = small_plain(seed=3, dtype=np.float64)

@@ -115,7 +115,7 @@ class TestOracleDominance:
 class TestSizeGuards:
     def test_too_many_users(self):
         state = desk_state(n_fembb=10, n_eurllc=10)
-        with pytest.raises(InstanceSizeError, match="search space"):
+        with pytest.raises(InstanceSizeError, match="search limits"):
             optimal_allocation(state, ScalarizedObjective.for_state(state))
 
     def test_too_many_subchannels(self):

@@ -14,8 +14,8 @@ from mbnsim.agents import TrainerConfig
 from mbnsim.baselines import optimal_allocation
 from mbnsim.config import ConfigError, ScenarioConfig, save_scenario_config
 from mbnsim.env import JnsaEnv, ScalarizedObjective
-from mbnsim.harness import (ExperimentSpec, build_variant_state,
-                            convergence_metric, derived_seed, read_runs_csv,
+from mbnsim.harness import (ExperimentSpec, convergence_metric,
+                            derived_seed, read_runs_csv,
                             robustness_sweep, run_experiment, summarize)
 from mbnsim.nets import QNetwork, checkpoint_dict
 from mbnsim.scenario import generate_scenario
@@ -141,8 +141,8 @@ class TestRunExperiment:
         record = run_experiment(spec)[0]
         # independent recomputation of the eval protocol
         cfg = spec.scenario
-        state = build_variant_state(
-            generate_scenario(cfg, seed=derived_seed(cfg.seed, 1, 0)), "mbn")
+        # the mbn variant runs on the drawn scenario as it is
+        state = generate_scenario(cfg, seed=derived_seed(cfg.seed, 1, 0))
         objective_cfg = ScalarizedObjective.for_state(
             state, weight_rate=cfg.weight_rate,
             violation_penalty=cfg.violation_penalty)
@@ -413,10 +413,24 @@ class TestCli:
         ("", ["oracle", "--seed", "1", "-1"]),
         ("", ["oracle", "--seed", "1", "1"]),
         ("", ["train", "--algo", "dqn", "--seed", "1", "--episodes", "0"]),
+        # beyond the oracle's limits (12 users, 10 subchannels)
+        ("n_fembb: 10\nn_eurllc: 10\nsubchannels_per_band: 4\n",
+         ["oracle", "--seed", "1"]),
+        ("n_fembb: 2\nn_eurllc: 2\nsubchannels_per_band: 12\n",
+         ["oracle", "--seed", "1"]),
+        ("n_fembb: 2\nn_eurllc: 2\nsubchannels_per_band: 3\n",
+         ["sweep", "--algo", "optimal", "--episodes", "1", "--seed", "1",
+          "--param", "n_fembb", "--values", "2", "20"]),
+        # sc keeps 7 - round(1.75) + 10 - round(2.5) = 13 terrestrial users
+        ("n_fembb: 7\nn_eurllc: 10\naerial_fraction: 0.25\n"
+         "subchannels_per_band: 1\nminislots_per_subchannel: 1\n",
+         ["oracle", "--env-variant", "sc", "--seed", "1"]),
     ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
             "zero_minislots_sweep_value", "negative_seed", "repeated_seed",
-            "zero_episodes"])
+            "zero_episodes", "oracle_too_many_users",
+            "oracle_too_many_subchannels", "optimal_sweep_too_many_users",
+            "sc_oracle_too_many_terrestrial_users"])
     def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml_text)
@@ -426,6 +440,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_sc_oracle_counts_only_terrestrial_users(self, tmp_path):
+        # 16 users, of which sc keeps 6 - round(1.5) + 10 - round(2.5) = 12
+        path = tmp_path / "cfg.yaml"
+        path.write_text("n_fembb: 6\nn_eurllc: 10\naerial_fraction: 0.25\n"
+                        "subchannels_per_band: 1\nminislots_per_subchannel: 1\n")
+        rc = cli.main(["oracle", "--config", str(path), "--env-variant", "sc",
+                       "--seed", "1", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        alloc = json.loads(
+            (tmp_path / "out/allocations/run0000.json").read_text())
+        assert (alloc["n_fembb"], alloc["n_eurllc"]) == (4, 8)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
