@@ -14,6 +14,7 @@ from pathlib import Path
 from .agents import Algorithm
 from .baselines import InstanceSizeError, optimal_allocation
 from .config import ConfigError, ScenarioConfig, load_scenario_config
+from .env import JnsaEnv
 from .harness import (ALGORITHMS, ENV_VARIANTS, ROBUSTNESS_COLUMNS,
                       ExperimentSpec, build_problem, format_cell,
                       robustness_sweep, run_experiment, write_manifest,
@@ -66,6 +67,19 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _checkpoint_for(path: str, user_class: str, obs_dim: int,
+                    action_count: int):
+    """The network in `path`, which must take the scenario's `user_class`
+    observations and choose among its actions."""
+    model = load_checkpoint(path)
+    if (model.input_dim, model.action_count) != (obs_dim, action_count):
+        raise ConfigError(
+            f"{path}: the network has {model.input_dim} inputs and "
+            f"{model.action_count} actions; this scenario's {user_class} "
+            f"policy needs {obs_dim} and {action_count}")
+    return model
+
+
 def cmd_evaluate(args) -> int:
     cfg = _scenario_from_args(args)
     state, objective_cfg = build_problem(cfg, args.env_variant, cfg.seed)
@@ -76,8 +90,14 @@ def cmd_evaluate(args) -> int:
         if not (args.checkpoint_fembb and args.checkpoint_eurllc):
             raise ConfigError("evaluate needs --use-oracle or both "
                               "--checkpoint-fembb and --checkpoint-eurllc")
-        decider = {"fembb_model": load_checkpoint(args.checkpoint_fembb),
-                   "eurllc_model": load_checkpoint(args.checkpoint_eurllc)}
+        env = JnsaEnv(state, objective_cfg)
+        decider = {
+            "fembb_model": _checkpoint_for(
+                args.checkpoint_fembb, "FeMBB", env.fembb_obs_dim,
+                env.fembb_action_count),
+            "eurllc_model": _checkpoint_for(
+                args.checkpoint_eurllc, "eURLLC", env.eurllc_obs_dim,
+                env.eurllc_action_count)}
     rows = robustness_sweep(state, objective_cfg, args.perturbation,
                             args.values, noise_seeds=args.noise_seeds,
                             mobility_speed_mps=args.speed, **decider)

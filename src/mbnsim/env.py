@@ -456,24 +456,6 @@ def objective(state: NetworkState, alloc: Allocation,
     return objective_breakdown(state, alloc, weights).value
 
 
-def attach_serving(state: NetworkState, alloc: Allocation,
-                   default_bs: int | None = None) -> None:
-    """Record each user's serving base station on the state (for mobility).
-
-    Unserved users get `default_bs` when given, else stay -1.
-    """
-    serving = np.full(state.n_users, -1, dtype=int)
-    for f, user in enumerate(state.fembb_users):
-        if alloc.fembb_bs[f] >= 0:
-            serving[user] = alloc.fembb_bs[f]
-    for q, user in enumerate(state.eurllc_users):
-        if alloc.eurllc_host[q] >= 0:
-            serving[user] = alloc.eurllc_host[q]
-    if default_bs is not None:
-        serving[serving < 0] = default_bs
-    state.serving_bs = serving
-
-
 class JnsaEnv:
     """Sequential multi-agent environment over one NetworkState.
 
@@ -695,24 +677,30 @@ def perturb_csi(state: NetworkState, delta: float, seed: int) -> NetworkState:
     return new
 
 
-def apply_mobility(state: NetworkState, elapsed_s: float,
+def apply_mobility(state: NetworkState, alloc: Allocation, elapsed_s: float,
                    speed_mps: float) -> NetworkState:
-    """Translate every user radially away from its serving base station by
-    speed*elapsed and recompute gains (same fading draws). Requires serving
-    assignments on the state."""
+    """Translate every user radially away from the station serving it in
+    `alloc` (FeMBB: `fembb_bs`, eURLLC: `eurllc_host`, unserved: the RF
+    station 0) by speed*elapsed and recompute gains (same fading draws)."""
     if not (math.isfinite(elapsed_s) and elapsed_s >= 0):
         raise ValueError(f"elapsed time must be finite and >= 0, got {elapsed_s!r}")
     if not (math.isfinite(speed_mps) and speed_mps >= 0):
         raise ValueError(f"speed must be finite and >= 0, got {speed_mps!r}")
-    if state.serving_bs is None or (state.serving_bs < 0).any():
-        raise ValueError("mobility requires a serving base station per user")
+    fembb, eurllc = state.fembb_users, state.eurllc_users
+    if (alloc.n_fembb, alloc.n_eurllc) != (len(fembb), len(eurllc)):
+        raise ValueError(f"the allocation holds {alloc.n_fembb} FeMBB and "
+                         f"{alloc.n_eurllc} eURLLC users, the state "
+                         f"{len(fembb)} and {len(eurllc)}")
     new = state.copy()
     shift = speed_mps * elapsed_s
     if shift == 0.0:
         return new
+    serving = np.zeros(state.n_users, dtype=int)
+    serving[fembb] = np.maximum(alloc.fembb_bs, 0)
+    serving[eurllc] = np.maximum(alloc.eurllc_host, 0)
     stations = new.topology.stations
-    for i, user in enumerate(new.users):
-        anchor = stations[int(new.serving_bs[i])].position
+    for user, j in zip(new.users, serving.tolist()):
+        anchor = stations[j].position
         direction = user.position - anchor
         norm = float(np.linalg.norm(direction))
         if norm == 0.0:

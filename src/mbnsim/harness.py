@@ -36,7 +36,7 @@ from .agents import Algorithm, DqnTrainer, ExplorationSchedule, TrainerConfig
 from .baselines import check_instance_size, optimal_allocation
 from .config import ConfigError, ScenarioConfig, require_positive
 from .env import (Allocation, JnsaEnv, ScalarizedObjective, apply_mobility,
-                  attach_serving, objective_breakdown, perturb_csi)
+                  objective_breakdown, perturb_csi)
 from .nets import LEARNER_DTYPE, save_checkpoint
 from .scenario import (NetworkState, UserClass, generate_scenario,
                        make_sbn_scenario, make_sc_scenario)
@@ -291,7 +291,8 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
     A frozen `allocation` is re-evaluated as-is on the perturbed state; a
     policy (both models) re-decides greedily on the perturbed observations.
     CSI rows average over `noise_seeds` draws; mobility is deterministic and
-    moves each user away from the station it is served by on `state`.
+    moves each user away from the station serving it in the allocation
+    decided on `state`.
     """
     frozen = allocation is not None
     if frozen == (fembb_model is not None or eurllc_model is not None):
@@ -315,8 +316,7 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
         return greedy_rollout(env, fembb_model, eurllc_model)[0]
 
     if perturbation == "mobility":
-        served = state.copy()
-        attach_serving(served, decide(state.copy()), default_bs=0)
+        serving = decide(state.copy())
 
     rows = []
     for value in values:
@@ -324,7 +324,8 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
             perturbed = [perturb_csi(state, value, seed=CSI_NOISE_SEED_BASE + rep)
                          for rep in range(noise_seeds)]
         else:
-            perturbed = [apply_mobility(served, value, mobility_speed_mps)]
+            perturbed = [apply_mobility(state, serving, value,
+                                        mobility_speed_mps)]
         mean, sem = _mean_sem(
             [objective_breakdown(s, decide(s), objective_cfg).fembb_total_rate_bps
              for s in perturbed])

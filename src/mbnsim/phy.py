@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+SPEED_OF_LIGHT_MPS = 299_792_458.0
+
 
 class Band(Enum):
     RF = "rf"
@@ -18,7 +20,7 @@ class Band(Enum):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Per-band propagation parameters and physical constants.
+    """Per-band propagation parameters.
 
     Defaults: 2.1 GHz RF carrier with path-loss exponent 2.5, 340 GHz THz
     center with a flat molecular absorption coefficient of 0.0033 1/m,
@@ -26,7 +28,6 @@ class ChannelParams:
     thermal noise density -174 dBm/Hz.
     """
 
-    speed_of_light: float = 299_792_458.0  # m/s
     rf_carrier_hz: float = 2.1e9
     thz_center_hz: float = 340e9
     rf_pathloss_exponent: float = 2.5
@@ -37,7 +38,7 @@ class ChannelParams:
     noise_density_dbm_per_hz: float = -174.0
 
     def __post_init__(self):
-        for name in ("speed_of_light", "rf_carrier_hz", "thz_center_hz",
+        for name in ("rf_carrier_hz", "thz_center_hz",
                      "rf_total_bandwidth_hz", "thz_total_bandwidth_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -64,7 +65,7 @@ def rf_path_gain(params: ChannelParams, distance_m: float,
         raise ValueError("distance must be strictly positive")
     if fading_draw < 0:
         raise ValueError("fading draw must be >= 0")
-    amp = (params.speed_of_light / (4.0 * math.pi * params.rf_carrier_hz)) ** 2
+    amp = (SPEED_OF_LIGHT_MPS / (4.0 * math.pi * params.rf_carrier_hz)) ** 2
     return amp * fading_draw * distance_m ** (-params.rf_pathloss_exponent)
 
 
@@ -75,7 +76,7 @@ def thz_path_gain(params: ChannelParams, distance_m: float,
         raise ValueError("distance must be strictly positive")
     if subchannel_freq_hz <= 0:
         raise ValueError("frequency must be strictly positive")
-    amp = (params.speed_of_light / (4.0 * math.pi * subchannel_freq_hz)) ** 2
+    amp = (SPEED_OF_LIGHT_MPS / (4.0 * math.pi * subchannel_freq_hz)) ** 2
     return amp * distance_m ** -2 * math.exp(
         -params.absorption_coeff_per_m * distance_m)
 

@@ -28,7 +28,7 @@ AERIAL_HEIGHT_M = 50.0
 BS_HEIGHT_M = 1.5  # matches the terrestrial user plane
 MIN_LINK_DISTANCE_M = 1e-3
 
-STATE_SCHEMA_VERSION = 1
+STATE_SCHEMA_VERSION = 2
 
 
 class UserClass(Enum):
@@ -57,11 +57,9 @@ class Topology:
 
 @dataclass
 class UserProfile:
-    id: int
     user_class: UserClass
     kind: UserKind
     position: np.ndarray  # (3,) meters
-    velocity_mps: float = 0.0
 
 
 @dataclass
@@ -79,8 +77,6 @@ class NetworkState:
     reachable: np.ndarray     # (n_users, n_bs) bool
     gain_log_bounds: tuple[float, float]  # log10 normalization range, frozen
     fembb_qos_enforced: bool = True
-    serving_bs: np.ndarray | None = None  # (n_users,) int, -1 = unserved
-    seed: int = 0
 
     @property
     def n_users(self) -> int:
@@ -117,8 +113,6 @@ class NetworkState:
         new.gains = self.gains.copy()
         new.fading = self.fading.copy()
         new.reachable = self.reachable.copy()
-        if self.serving_bs is not None:
-            new.serving_bs = self.serving_bs.copy()
         return new
 
 
@@ -180,8 +174,7 @@ def generate_scenario(cfg: ScenarioConfig,
     the coverage disc of a random TBS (hotspot placement), the rest uniformly
     in the cell. Bit-identical regeneration for a fixed (cfg, seed).
     """
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
     channel = cfg.channel_params()
 
     stations = [BaseStation(position=np.array([0.0, 0.0, BS_HEIGHT_M]),
@@ -195,7 +188,6 @@ def generate_scenario(cfg: ScenarioConfig,
     topology = Topology(cell_radius_m=cfg.cell_radius_m, stations=stations)
 
     users: list[UserProfile] = []
-    uid = 0
     for user_class, count in ((UserClass.FEMBB, cfg.n_fembb),
                               (UserClass.EURLLC, cfg.n_eurllc)):
         n_aerial = cfg.aerial_count(count)
@@ -213,9 +205,8 @@ def generate_scenario(cfg: ScenarioConfig,
             else:
                 kind, height = UserKind.TERRESTRIAL, TERRESTRIAL_HEIGHT_M
                 x, y = _uniform_disc(rng, cfg.cell_radius_m)
-            users.append(UserProfile(id=uid, user_class=user_class, kind=kind,
+            users.append(UserProfile(user_class=user_class, kind=kind,
                                      position=np.array([x, y, height])))
-            uid += 1
 
     c = channel.subchannels_per_band
     fading = rng.exponential(1.0, size=(len(users), c))
@@ -231,7 +222,6 @@ def generate_scenario(cfg: ScenarioConfig,
         fading=fading,
         reachable=reachable,
         gain_log_bounds=(0.0, 1.0),
-        seed=seed,
     )
     state.gain_log_bounds = _gain_log_bounds(gains, reachable)
     return state
@@ -255,7 +245,6 @@ def make_sbn_scenario(state: NetworkState) -> NetworkState:
     new.gains = new.gains[:, :1, :].copy()
     new.reachable = new.reachable[:, :1].copy()
     new.gain_log_bounds = _gain_log_bounds(new.gains, new.reachable)
-    new.serving_bs = None
     return new
 
 
@@ -291,7 +280,6 @@ def state_to_json(state: NetworkState) -> dict:
     rbs, *tbs_list = state.topology.stations
     return {
         "schema_version": STATE_SCHEMA_VERSION,
-        "seed": state.seed,
         "channel": asdict(state.channel),
         "frame": frame,
         "qos": asdict(state.qos),
@@ -300,17 +288,14 @@ def state_to_json(state: NetworkState) -> dict:
             "rbs": bs_dict(rbs),
             "tbs_list": [bs_dict(b) for b in tbs_list],
         },
-        "users": [{"id": u.id, "user_class": u.user_class.value,
-                   "kind": u.kind.value,
-                   "position": [float(v) for v in u.position],
-                   "velocity_mps": u.velocity_mps} for u in state.users],
+        "users": [{"user_class": u.user_class.value, "kind": u.kind.value,
+                   "position": [float(v) for v in u.position]}
+                  for u in state.users],
         "gains": state.gains.tolist(),
         "fading": state.fading.tolist(),
         "reachable": state.reachable.tolist(),
         "gain_log_bounds": list(state.gain_log_bounds),
         "fembb_qos_enforced": state.fembb_qos_enforced,
-        "serving_bs": (None if state.serving_bs is None
-                       else [int(v) for v in state.serving_bs]),
     }
 
 
@@ -348,15 +333,13 @@ def state_from_json(data: dict) -> NetworkState:
         raise ValueError("every topology.tbs_list entry must be a THz station")
     topology = Topology(cell_radius_m=topo["cell_radius_m"],
                         stations=[rbs, *tbs_list])
-    users = [UserProfile(id=d["id"], user_class=UserClass(d["user_class"]),
+    users = [UserProfile(user_class=UserClass(d["user_class"]),
                          kind=UserKind(d["kind"]),
-                         position=np.array(d["position"], dtype=float),
-                         velocity_mps=d["velocity_mps"])
+                         position=np.array(d["position"], dtype=float))
              for d in data["users"]]
     n_users, n_bs = len(users), len(topology.stations)
     c = channel.subchannels_per_band
     frame = data["frame"]
-    serving = data.get("serving_bs")
     return NetworkState(
         channel=channel,
         topology=topology,
@@ -371,6 +354,4 @@ def state_from_json(data: dict) -> NetworkState:
         reachable=_snapshot_array(data, "reachable", bool, (n_users, n_bs)),
         gain_log_bounds=tuple(data["gain_log_bounds"]),
         fembb_qos_enforced=data["fembb_qos_enforced"],
-        serving_bs=None if serving is None else np.array(serving, dtype=int),
-        seed=data["seed"],
     )

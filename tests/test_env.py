@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from mbnsim.config import ScenarioConfig
 from mbnsim.env import (Allocation, AllocationError, JnsaEnv,
                         ScalarizedObjective, Stations, apply_mobility,
-                        attach_serving, objective, objective_breakdown,
-                        perturb_csi, resolve_eurllc_host)
+                        objective, objective_breakdown, perturb_csi,
+                        resolve_eurllc_host)
 from mbnsim.phy import Band, noise_power_w, rf_path_gain
 from mbnsim.scenario import (UserClass, _gain_log_bounds, compute_gain_tensor,
                              generate_scenario, make_sbn_scenario,
@@ -619,21 +619,6 @@ class TestIncrementalScoring:
                                       env.allocation.puncture_counts(n_bs))
 
 
-class TestAttachServing:
-    def test_serving_from_allocation(self):
-        state = make_state()
-        alloc = Allocation(4, 4, state.n_subchannels, state.n_minislots)
-        alloc.fembb_bs[0], alloc.fembb_k[0] = 2, 1
-        alloc.eurllc_k[1], alloc.eurllc_m[1] = 0, 0
-        alloc.eurllc_host[1] = 0
-        attach_serving(state, alloc)
-        assert state.serving_bs[state.fembb_users[0]] == 2
-        assert state.serving_bs[state.eurllc_users[1]] == 0
-        assert state.serving_bs[state.fembb_users[1]] == -1
-        attach_serving(state, alloc, default_bs=0)
-        assert (state.serving_bs >= 0).all()
-
-
 class TestPerturbCsi:
     def test_identity_at_one(self):
         state = make_state()
@@ -674,21 +659,55 @@ class TestPerturbCsi:
 
 class TestMobility:
     def _served_state(self, seed=42):
+        """A state, an allocation serving each user by its first reachable
+        THz station (else the RF station 0), and each user's station."""
         state = make_state(seed=seed)
         serving = np.zeros(state.n_users, dtype=int)
         for i in range(state.n_users):
             if state.reachable[i, 1:].any():
                 serving[i] = 1 + int(np.argmax(state.reachable[i, 1:]))
-        state.serving_bs = serving
-        return state
+        alloc = Allocation(len(state.fembb_users), len(state.eurllc_users),
+                           state.n_subchannels, state.n_minislots,
+                           fembb_bs=serving[state.fembb_users],
+                           eurllc_host=serving[state.eurllc_users])
+        return state, alloc, serving
+
+    def test_serving_from_allocation(self):
+        # hand-computed: 10 s at 2 m/s moves each user 20 m straight away
+        # from its station, in the plane both share
+        state = make_state()
+        state.topology.stations[0].position = np.array([0.0, 0.0, 1.5])
+        state.topology.stations[1].position = np.array([10.0, 0.0, 1.5])
+        state.topology.stations[2].position = np.array([0.0, 30.0, 1.5])
+        fembb, eurllc = state.fembb_users, state.eurllc_users
+        state.users[fembb[0]].position = np.array([13.0, 4.0, 1.5])
+        state.users[fembb[1]].position = np.array([0.0, -8.0, 1.5])
+        state.users[eurllc[0]].position = np.array([0.0, 36.0, 1.5])
+        alloc = Allocation(len(fembb), len(eurllc), state.n_subchannels,
+                           state.n_minislots)
+        alloc.fembb_bs[0], alloc.fembb_k[0] = 1, 0  # THz station 1
+        alloc.eurllc_k[0], alloc.eurllc_m[0] = 1, 0
+        alloc.eurllc_host[0] = 2                    # THz station 2
+        # FeMBB user 1 is unserved: it moves away from the RF station 0
+        out = apply_mobility(state, alloc, 10.0, 2.0)
+        assert out.users[fembb[0]].position.tolist() == [25.0, 20.0, 1.5]
+        assert out.users[fembb[1]].position.tolist() == [0.0, -28.0, 1.5]
+        assert out.users[eurllc[0]].position.tolist() == [0.0, 56.0, 1.5]
+        gains, reachable = compute_gain_tensor(
+            out.channel, out.topology, out.users, state.fading)
+        assert np.array_equal(out.gains, gains)
+        assert np.array_equal(out.reachable, reachable)
 
     def test_requires_serving(self):
-        state = make_state()
-        with pytest.raises(ValueError):
-            apply_mobility(state, 10.0, 2.0)
-        state.serving_bs = np.full(state.n_users, -1)
-        with pytest.raises(ValueError):
-            apply_mobility(state, 10.0, 2.0)
+        # the allocation must hold the state's FeMBB and eURLLC user counts
+        state, alloc, _ = self._served_state()
+        for n_fembb, n_eurllc in ((alloc.n_fembb + 1, alloc.n_eurllc),
+                                  (alloc.n_fembb, alloc.n_eurllc - 1)):
+            wrong = Allocation(n_fembb, n_eurllc, state.n_subchannels,
+                               state.n_minislots)
+            for elapsed in (0.0, 10.0):
+                with pytest.raises(ValueError, match="the allocation holds"):
+                    apply_mobility(state, wrong, elapsed, 2.0)
 
     @pytest.mark.parametrize("elapsed, speed", [
         (float("nan"), 2.0), (float("inf"), 2.0), (-1.0, 2.0),
@@ -697,33 +716,33 @@ class TestMobility:
             "inf_speed", "negative_speed"])
     def test_bad_elapsed_or_speed_rejected(self, elapsed, speed):
         with pytest.raises(ValueError):
-            apply_mobility(self._served_state(), elapsed, speed)
+            apply_mobility(*self._served_state()[:2], elapsed, speed)
 
     def test_zero_elapsed_is_identity(self):
-        state = self._served_state()
-        out = apply_mobility(state, 0.0, 2.0)
+        state, alloc, _ = self._served_state()
+        out = apply_mobility(state, alloc, 0.0, 2.0)
         assert np.array_equal(out.gains, state.gains)
         for a, b in zip(out.users, state.users):
             assert np.array_equal(a.position, b.position)
 
     def test_distance_grows_exactly(self):
-        state = self._served_state()
-        out = apply_mobility(state, 10.0, 2.0)
+        state, alloc, serving = self._served_state()
+        out = apply_mobility(state, alloc, 10.0, 2.0)
         for i in range(state.n_users):
-            anchor = state.topology.stations[int(state.serving_bs[i])].position
+            anchor = state.topology.stations[serving[i]].position
             d0 = np.linalg.norm(state.users[i].position - anchor)
             d1 = np.linalg.norm(out.users[i].position - anchor)
             assert d1 - d0 == pytest.approx(20.0, abs=1e-9)
 
     def test_serving_gain_strictly_decreases(self):
-        state = self._served_state()
-        out = apply_mobility(state, 5.0, 2.0)
+        state, alloc, serving = self._served_state()
+        out = apply_mobility(state, alloc, 5.0, 2.0)
         for i in range(state.n_users):
-            j = int(state.serving_bs[i])
+            j = serving[i]
             for k in range(state.n_subchannels):
                 assert out.gains[i, j, k] < state.gains[i, j, k]
 
     def test_longer_moves_leave_tbs_coverage(self):
-        state = self._served_state(seed=17)
-        out = apply_mobility(state, 40.0, 2.0)
+        state, alloc, _ = self._served_state(seed=17)
+        out = apply_mobility(state, alloc, 40.0, 2.0)
         assert not out.reachable[:, 1:].any()

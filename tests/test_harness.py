@@ -14,10 +14,10 @@ from mbnsim.agents import TrainerConfig
 from mbnsim.baselines import optimal_allocation
 from mbnsim.config import ConfigError, ScenarioConfig, save_scenario_config
 from mbnsim.env import JnsaEnv, ScalarizedObjective
-from mbnsim.harness import (ExperimentSpec, convergence_metric,
-                            derived_seed, read_runs_csv,
+from mbnsim.harness import (ExperimentSpec, build_problem,
+                            convergence_metric, derived_seed, read_runs_csv,
                             robustness_sweep, run_experiment, summarize)
-from mbnsim.nets import QNetwork, checkpoint_dict
+from mbnsim.nets import QNetwork, checkpoint_dict, save_checkpoint
 from mbnsim.scenario import generate_scenario
 
 TINY_TRAINER = TrainerConfig(hidden_sizes=(16, 16), batch_size=16,
@@ -321,6 +321,22 @@ class TestRobustnessSweep:
                              allocation=alloc, **kwargs)
 
 
+def write_shaped_checkpoints(directory: Path, cfg: ScenarioConfig) -> None:
+    """`fembb.json` and `eurllc.json` fit `evaluate`'s scenario for `cfg`;
+    `fembb_x3.json` has three times the FeMBB action count."""
+    env = JnsaEnv(*build_problem(cfg, "mbn", cfg.seed))
+    rng = np.random.default_rng(0)
+    for name, obs_dim, actions in (
+            ("fembb", env.fembb_obs_dim, env.fembb_action_count),
+            ("eurllc", env.eurllc_obs_dim, env.eurllc_action_count),
+            ("fembb_x3", env.fembb_obs_dim, 3 * env.fembb_action_count)):
+        save_checkpoint(QNetwork(obs_dim, (8,), actions, rng),
+                        directory / f"{name}.json")
+
+
+EVALUATE_MOBILITY = ["evaluate", "--perturbation", "mobility", "--values", "0"]
+
+
 class TestCli:
     def _write_cfg(self, tmp_path) -> Path:
         cfg = ScenarioConfig.desk_default().replace(
@@ -425,21 +441,32 @@ class TestCli:
         ("n_fembb: 7\nn_eurllc: 10\naerial_fraction: 0.25\n"
          "subchannels_per_band: 1\nminislots_per_subchannel: 1\n",
          ["oracle", "--env-variant", "sc", "--seed", "1"]),
+        # checkpoints that do not fit the desk scenario's 12 FeMBB actions
+        ("", [*EVALUATE_MOBILITY, "--checkpoint-fembb", "{ckpt}/fembb_x3.json",
+              "--checkpoint-eurllc", "{ckpt}/eurllc.json"]),
+        ("", [*EVALUATE_MOBILITY, "--checkpoint-fembb", "{ckpt}/eurllc.json",
+              "--checkpoint-eurllc", "{ckpt}/fembb.json"]),
     ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
             "zero_minislots_sweep_value", "negative_seed", "repeated_seed",
             "zero_episodes", "oracle_too_many_users",
             "oracle_too_many_subchannels", "optimal_sweep_too_many_users",
-            "sc_oracle_too_many_terrestrial_users"])
+            "sc_oracle_too_many_terrestrial_users",
+            "evaluate_too_many_actions", "evaluate_swapped_roles"])
     def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml_text)
+        if argv[0] == "evaluate":
+            write_shaped_checkpoints(tmp_path, ScenarioConfig.desk_default())
+            argv = [arg.format(ckpt=tmp_path) for arg in argv]
         rc = cli.main([*argv, "--config", str(path),
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+        if argv[0] == "evaluate":
+            assert argv[argv.index("--checkpoint-fembb") + 1] in err
 
     def test_sc_oracle_counts_only_terrestrial_users(self, tmp_path):
         # 16 users, of which sc keeps 6 - round(1.5) + 10 - round(2.5) = 12

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbnsim.phy import (ChannelParams, noise_power_w, rf_path_gain, sinr,
-                        thz_path_gain, thz_subchannel_frequency)
+from mbnsim.phy import (SPEED_OF_LIGHT_MPS, ChannelParams, noise_power_w,
+                        rf_path_gain, sinr, thz_path_gain,
+                        thz_subchannel_frequency)
 
 PARAMS = ChannelParams()
 
@@ -67,7 +68,7 @@ class TestThzPathGain:
     def test_zero_absorption_is_free_space(self):
         params = ChannelParams(absorption_coeff_per_m=0.0)
         d, f = 7.0, 340e9
-        expected = (params.speed_of_light / (4 * math.pi * f)) ** 2 / d ** 2
+        expected = (SPEED_OF_LIGHT_MPS / (4 * math.pi * f)) ** 2 / d ** 2
         assert thz_path_gain(params, d, f) == pytest.approx(
             expected, rel=1e-15)
 

@@ -128,13 +128,11 @@ class TestFadingRefresh:
 class TestJsonSnapshot:
     def test_round_trip_exact(self):
         state = generate_scenario(desk_cfg(), seed=41)
-        state.serving_bs = np.array([0, 1, 2, 0, 1, 2, 0, 0])
         data = json.loads(json.dumps(state_to_json(state)))
         back = state_from_json(data)
         assert np.array_equal(back.gains, state.gains)
         assert np.array_equal(back.fading, state.fading)
         assert np.array_equal(back.reachable, state.reachable)
-        assert np.array_equal(back.serving_bs, state.serving_bs)
         assert back.gain_log_bounds == state.gain_log_bounds
         assert back.qos == state.qos
         assert back.channel == state.channel
@@ -198,6 +196,26 @@ class TestJsonSnapshot:
         data = state_to_json(generate_scenario(desk_cfg(), seed=41))
         data[key] = cut(data[key])
         with pytest.raises(ValueError, match=f"{key} has shape"):
+            state_from_json(data)
+
+    def test_schema_2_keys(self):
+        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
+        assert data["schema_version"] == 2
+        assert set(data) == {"schema_version", "channel", "frame", "qos",
+                             "topology", "users", "gains", "fading",
+                             "reachable", "gain_log_bounds",
+                             "fembb_qos_enforced"}
+        assert set(data["users"][0]) == {"user_class", "kind", "position"}
+        assert "speed_of_light" not in data["channel"]
+
+    def test_schema_1_rejected(self):
+        # a schema-1 document: version 1 and the keys schema 2 dropped
+        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
+        data.update(schema_version=1, seed=41, serving_bs=None)
+        data["channel"]["speed_of_light"] = 299_792_458.0
+        for i, user in enumerate(data["users"]):
+            user.update(id=i, velocity_mps=0.0)
+        with pytest.raises(ValueError, match="unsupported state schema: 1"):
             state_from_json(data)
 
     def test_unknown_schema_rejected(self):
