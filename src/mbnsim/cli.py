@@ -16,9 +16,9 @@ from .baselines import InstanceSizeError, optimal_allocation
 from .config import ConfigError, ScenarioConfig, load_scenario_config
 from .env import JnsaEnv
 from .harness import (ALGORITHMS, ENV_VARIANTS, ROBUSTNESS_COLUMNS,
-                      ExperimentSpec, build_problem, format_cell,
-                      robustness_sweep, run_experiment, write_manifest,
-                      write_rows)
+                      ExperimentSpec, build_problem, derived_seed,
+                      format_cell, robustness_sweep, run_experiment,
+                      write_manifest, write_rows)
 from .nets import CheckpointError, load_checkpoint
 from . import __version__
 
@@ -81,8 +81,17 @@ def _checkpoint_for(path: str, user_class: str, obs_dim: int,
 
 
 def cmd_evaluate(args) -> int:
+    """Score the oracle's allocation or a trained policy under a
+    perturbation, on the network `train --seed S` trains run0000 on."""
     cfg = _scenario_from_args(args)
-    state, objective_cfg = build_problem(cfg, args.env_variant, cfg.seed)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be an int >= 0, got {args.seed}")
+    ignored = args.use_oracle and (args.checkpoint_fembb
+                                   or args.checkpoint_eurllc)
+    if ignored:
+        raise ConfigError(f"--use-oracle takes no checkpoint, got {ignored}")
+    state, objective_cfg = build_problem(cfg, args.env_variant,
+                                         derived_seed(cfg.seed, args.seed, 0))
 
     if args.use_oracle:
         decider = {"allocation": optimal_allocation(state, objective_cfg)[0]}
@@ -104,7 +113,7 @@ def cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_manifest(out, {"scenario": cfg.to_dict(),
+    write_manifest(out, {"scenario": cfg.to_dict(), "seed": args.seed,
                          "perturbation": args.perturbation,
                          "values": list(args.values)})
     write_rows(out / "robustness.csv", [ROBUSTNESS_COLUMNS] + [
@@ -141,6 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="frozen policy/allocation under perturbations")
     p_eval.add_argument("--config")
     p_eval.add_argument("--out", required=True)
+    p_eval.add_argument("--seed", type=int, default=1,
+                        help="evaluate on the network `train --seed` draws")
     p_eval.add_argument("--env-variant", choices=ENV_VARIANTS, default="mbn")
     p_eval.add_argument("--perturbation", choices=("csi", "mobility"),
                         required=True)

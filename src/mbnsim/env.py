@@ -238,9 +238,9 @@ class ScalarizedObjective:
 class ObjectiveBreakdown:
     value: float
     fembb_rates_bps: np.ndarray   # punctured rate per FeMBB user (0 if unassigned)
-    fembb_ok: np.ndarray          # assigned and meeting the rate target
+    fembb_ok: np.ndarray          # rate meets the target (0 never does)
     eurllc_errors: np.ndarray     # decoding error per eURLLC user (1 if unserved)
-    eurllc_ok: np.ndarray         # punctured a slot and meeting the error target
+    eurllc_ok: np.ndarray         # error meets the target (1 never does)
     fembb_terms: tuple            # unweighted objective share per FeMBB user
     eurllc_terms: tuple           # unweighted objective share per eURLLC user
 
@@ -347,107 +347,64 @@ def objective_breakdown(state: NetworkState, alloc: Allocation,
     must match bit for bit."""
     alloc.validate()
     n_bs = state.n_bs
-    return _score(Stations(state), weights, alloc, alloc.occupied(n_bs),
+    return _score(Stations(state), weights, alloc, state.fembb_users,
+                  state.eurllc_users, alloc.occupied(n_bs),
                   alloc.puncture_counts(n_bs))
 
 
-class _Scorer:
-    """The objective's per-user rule on fixed occupancy and puncture grids.
-    `fembb`/`eurllc` score one assigned user into the per-user arrays and
-    return its unweighted share of the objective; `breakdown` sums the
-    shares in user order. A share is computed from the value read back
-    from its array, so it is an np.float64 where the reference's always
-    was: the value's type, and so its repr, never depends on the path."""
-
-    def __init__(self, stations: Stations, weights: ScalarizedObjective,
-                 occupied: np.ndarray, punct: np.ndarray, rates: np.ndarray,
-                 fembb_ok: np.ndarray, errors: np.ndarray,
-                 eurllc_ok: np.ndarray):
-        self.stations, self.weights = stations, weights
-        self.active = (occupied | (punct > 0)).tolist()
-        self.punct = punct
-        self.rates, self.fembb_ok = rates, fembb_ok
-        self.errors, self.eurllc_ok = errors, eurllc_ok
-
-    def fembb(self, f: int, user: int, j: int, k: int) -> float:
-        state, rates = self.stations.state, self.rates
-        gamma = self.stations.gamma(self.active, user, j, k)
-        rates[f] = punctured_rate(
-            self.stations.frame[j].subchannel_bandwidth_hz, gamma,
-            int(self.punct[j, k]), state.n_minislots)
-        self.fembb_ok[f] = rates[f] >= state.qos.fembb_min_rate_bps
-        return fembb_term(state, self.weights, rates[f], len(rates))
-
-    def eurllc(self, q: int, user: int, host: int, k: int) -> float:
-        state, errors = self.stations.state, self.errors
-        gamma = self.stations.gamma(self.active, user, host, k)
-        errors[q] = eurllc_error(self.stations.frame[host], gamma)
-        self.eurllc_ok[q] = errors[q] <= state.qos.eurllc_max_error
-        return eurllc_term(state, self.weights, errors[q], len(errors))
-
-    def breakdown(self, fembb_terms: list, eurllc_terms: list
-                  ) -> ObjectiveBreakdown:
-        s_rate = 0.0
-        for term in fembb_terms:
-            s_rate += term
-        s_rel = 0.0
-        for term in eurllc_terms:
-            s_rel += term
-        value = (self.weights.weight_rate * s_rate
-                 + self.weights.weight_reliability * s_rel)
-        return ObjectiveBreakdown(value, self.rates, self.fembb_ok,
-                                  self.errors, self.eurllc_ok,
-                                  tuple(fembb_terms), tuple(eurllc_terms))
-
-
 def _score(stations: Stations, weights: ScalarizedObjective,
-           alloc: Allocation, occupied: np.ndarray,
-           punct: np.ndarray) -> ObjectiveBreakdown:
-    """Breakdown of a valid allocation with its occupancy and puncture
-    grids, every user scored."""
-    state = stations.state
-    fembb_ids, eurllc_ids = state.fembb_users, state.eurllc_users
+           alloc: Allocation, fembb_ids: list[int], eurllc_ids: list[int],
+           occupied: np.ndarray, punct: np.ndarray,
+           prev: ObjectiveBreakdown | None = None, j: int = -1,
+           k: int = -1) -> ObjectiveBreakdown:
+    """Breakdown of a valid allocation with its occupancy and puncture grids.
+
+    Without `prev` every assigned user is scored. With `prev`, the breakdown
+    of the allocation before one assignment or puncture at (bs j,
+    subchannel k): only links on subchannel k in j's band see the change,
+    so only their users are scored again and every other user keeps its
+    cached share. An assigned user's share is computed from the value read
+    back from its array, so it is an np.float64 on either path, and an
+    unassigned user's is a float: the value's type, and so its repr, never
+    depends on the path. The shares are summed in user order.
+    """
+    state, band_of = stations.state, stations.band
     n_f, n_u = len(fembb_ids), len(eurllc_ids)
-    scorer = _Scorer(stations, weights, occupied, punct,
-                     np.zeros(n_f), np.zeros(n_f, dtype=bool),
-                     np.ones(n_u), np.zeros(n_u, dtype=bool))
-    fembb_terms = [
-        fembb_term(state, weights, 0.0, n_f) if j < 0
-        else scorer.fembb(f, user, j, k)
-        for f, (user, j, k) in enumerate(zip(
-            fembb_ids, alloc.fembb_bs.tolist(), alloc.fembb_k.tolist()))]
-    eurllc_terms = [
-        eurllc_term(state, weights, 1.0, n_u) if k < 0
-        else scorer.eurllc(q, user, host, k)
-        for q, (user, host, k) in enumerate(zip(
-            eurllc_ids, alloc.eurllc_host.tolist(), alloc.eurllc_k.tolist()))]
-    return scorer.breakdown(fembb_terms, eurllc_terms)
-
-
-def _rescore(prev: ObjectiveBreakdown, stations: Stations,
-             weights: ScalarizedObjective, alloc: Allocation,
-             fembb_ids: list[int], eurllc_ids: list[int],
-             occupied: np.ndarray, punct: np.ndarray, j: int,
-             k: int) -> ObjectiveBreakdown:
-    """Breakdown of `alloc` after one assignment or puncture at (bs j,
-    subchannel k), given the breakdown `prev` of the allocation before it.
-    Only links on subchannel k in j's band see the change, so only their
-    users are scored again; every other user keeps its cached share."""
-    scorer = _Scorer(stations, weights, occupied, punct,
-                     prev.fembb_rates_bps.copy(), prev.fembb_ok.copy(),
-                     prev.eurllc_errors.copy(), prev.eurllc_ok.copy())
-    band_of, band = stations.band, stations.band[j]
-    fembb_terms = list(prev.fembb_terms)
+    if prev is None:  # max(n, 1): a class may have no users
+        rates, errors = np.zeros(n_f), np.ones(n_u)
+        fembb_terms = [fembb_term(state, weights, 0.0, max(n_f, 1))] * n_f
+        eurllc_terms = [eurllc_term(state, weights, 1.0, max(n_u, 1))] * n_u
+    else:
+        rates, errors = prev.fembb_rates_bps.copy(), prev.eurllc_errors.copy()
+        fembb_terms, eurllc_terms = (list(prev.fembb_terms),
+                                     list(prev.eurllc_terms))
+    band = None if prev is None else band_of[j]
+    active = (occupied | (punct > 0)).tolist()
     for f, (j2, k2) in enumerate(zip(alloc.fembb_bs.tolist(),
                                      alloc.fembb_k.tolist())):
-        if k2 == k and band_of[j2] is band:
-            fembb_terms[f] = scorer.fembb(f, fembb_ids[f], j2, k)
-    eurllc_terms = list(prev.eurllc_terms)
+        if j2 >= 0 and (band is None or (k2 == k and band_of[j2] is band)):
+            gamma = stations.gamma(active, fembb_ids[f], j2, k2)
+            rates[f] = punctured_rate(
+                stations.frame[j2].subchannel_bandwidth_hz, gamma,
+                int(punct[j2, k2]), state.n_minislots)
+            fembb_terms[f] = fembb_term(state, weights, rates[f], n_f)
     for q, (host, k2) in enumerate(zip(alloc.eurllc_host.tolist(),
                                        alloc.eurllc_k.tolist())):
-        if k2 == k and band_of[host] is band:
-            eurllc_terms[q] = scorer.eurllc(q, eurllc_ids[q], host, k)
-    return scorer.breakdown(fembb_terms, eurllc_terms)
+        if host >= 0 and (band is None or (k2 == k and band_of[host] is band)):
+            gamma = stations.gamma(active, eurllc_ids[q], host, k2)
+            errors[q] = eurllc_error(stations.frame[host], gamma)
+            eurllc_terms[q] = eurllc_term(state, weights, errors[q], n_u)
+    s_rate = 0.0
+    for term in fembb_terms:
+        s_rate += term
+    s_rel = 0.0
+    for term in eurllc_terms:
+        s_rel += term
+    value = weights.weight_rate * s_rate + weights.weight_reliability * s_rel
+    return ObjectiveBreakdown(
+        value, rates, rates >= state.qos.fembb_min_rate_bps, errors,
+        errors <= state.qos.eurllc_max_error, tuple(fembb_terms),
+        tuple(eurllc_terms))
 
 
 def objective(state: NetworkState, alloc: Allocation,
@@ -461,7 +418,8 @@ class JnsaEnv:
 
     The env keeps the occupancy and puncture grids of its committed
     allocation and scores a step incrementally from the committed breakdown
-    (`_rescore`); the public `objective_breakdown` stays the reference.
+    (`_score` given `prev`); the public `objective_breakdown` stays the
+    reference.
 
     Single-writer: `step` mutates internal episode state and must be driven
     from one logical thread. Distinct instances are independent.
@@ -511,7 +469,8 @@ class JnsaEnv:
         self._cursor = 0
         self._clear_allocation()
         self._breakdown = _score(self._stations, self.objective_cfg,
-                                 self._alloc, self._occupied, self._punct)
+                                 self._alloc, self.fembb_ids, self.eurllc_ids,
+                                 self._occupied, self._punct)
         self.conflict_penalty_total = 0.0
         if self.done:
             return np.zeros(0)
@@ -636,9 +595,9 @@ class JnsaEnv:
             else:
                 punct = punct.copy()
                 punct[j, k] += 1
-            br = _rescore(self._breakdown, self._stations, self.objective_cfg,
-                          candidate, self.fembb_ids, self.eurllc_ids,
-                          occupied, punct, j, k)
+            br = _score(self._stations, self.objective_cfg, candidate,
+                        self.fembb_ids, self.eurllc_ids, occupied, punct,
+                        self._breakdown, j, k)
             accepted = ((br.fembb_ok[i] or not state.fembb_qos_enforced)
                         if fembb else br.eurllc_ok[i])
         if accepted:

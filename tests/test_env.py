@@ -168,7 +168,13 @@ class TestObjective:
         weights = ScalarizedObjective(rate_scale_bps=1e9,
                                       reliability_scale=4.0)
         alloc = Allocation(4, 4, state.n_subchannels, state.n_minislots)
-        assert objective(state, alloc, weights) == pytest.approx(-1.0)
+        value = objective(state, alloc, weights)
+        assert value == pytest.approx(-1.0)
+        # an unassigned user's share is a float, an assigned user's an
+        # np.float64, so the value's type (and repr) follows the allocation
+        assert type(value) is float
+        alloc.fembb_bs[0], alloc.fembb_k[0] = 0, 0
+        assert type(objective(state, alloc, weights)) is np.float64
 
     def test_two_user_toy_matches_hand_computation(self):
         state = single_rbs_state(n_fembb=1, n_eurllc=1, aerial_fraction=0.0,

@@ -12,8 +12,9 @@ import pytest
 from mbnsim import __version__, cli
 from mbnsim.agents import TrainerConfig
 from mbnsim.baselines import optimal_allocation
-from mbnsim.config import ConfigError, ScenarioConfig, save_scenario_config
-from mbnsim.env import JnsaEnv, ScalarizedObjective
+from mbnsim.config import (ConfigError, ScenarioConfig, load_scenario_config,
+                           save_scenario_config)
+from mbnsim.env import JnsaEnv, ScalarizedObjective, objective_breakdown
 from mbnsim.harness import (ExperimentSpec, build_problem,
                             convergence_metric, derived_seed, read_runs_csv,
                             robustness_sweep, run_experiment, summarize)
@@ -402,6 +403,27 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
 
+    def test_evaluate_scores_the_training_network(self, tmp_path):
+        path = self._write_cfg(tmp_path)
+        rc = cli.main(["evaluate", "--config", str(path), "--use-oracle",
+                       "--seed", "2", "--perturbation", "mobility",
+                       "--values", "0", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        with open(tmp_path / "out/robustness.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        cfg = load_scenario_config(path)
+        rates = []
+        for seed in (derived_seed(cfg.seed, 2, 0), cfg.seed):
+            state, objective_cfg = build_problem(cfg, "mbn", seed)
+            alloc = optimal_allocation(state, objective_cfg)[0]
+            rates.append(objective_breakdown(
+                state, alloc, objective_cfg).fembb_total_rate_bps)
+        # run0000 of `train --seed 2` trains on the first network, not on
+        # the one drawn with the config's own seed
+        assert float(row["fembb_rate_bps_mean"]) == rates[0] != rates[1]
+        manifest = json.loads((tmp_path / "out/manifest.json").read_text())
+        assert manifest["seed"] == 2
+
     def test_evaluate_manifest_records_versions(self, tmp_path):
         rc = cli.main(["evaluate", "--config", str(self._write_cfg(tmp_path)),
                        "--use-oracle", "--perturbation", "csi", "--values",
@@ -446,13 +468,18 @@ class TestCli:
               "--checkpoint-eurllc", "{ckpt}/eurllc.json"]),
         ("", [*EVALUATE_MOBILITY, "--checkpoint-fembb", "{ckpt}/eurllc.json",
               "--checkpoint-eurllc", "{ckpt}/fembb.json"]),
+        # the oracle decides alone; a checkpoint beside it would be ignored
+        ("", [*EVALUATE_MOBILITY, "--use-oracle",
+              "--checkpoint-fembb", "{ckpt}/fembb.json"]),
+        ("", [*EVALUATE_MOBILITY, "--use-oracle", "--seed", "-1"]),
     ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
             "zero_minislots_sweep_value", "negative_seed", "repeated_seed",
             "zero_episodes", "oracle_too_many_users",
             "oracle_too_many_subchannels", "optimal_sweep_too_many_users",
             "sc_oracle_too_many_terrestrial_users",
-            "evaluate_too_many_actions", "evaluate_swapped_roles"])
+            "evaluate_too_many_actions", "evaluate_swapped_roles",
+            "evaluate_oracle_with_checkpoint", "evaluate_negative_seed"])
     def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml_text)
@@ -465,7 +492,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
-        if argv[0] == "evaluate":
+        if "--checkpoint-fembb" in argv:
             assert argv[argv.index("--checkpoint-fembb") + 1] in err
 
     def test_sc_oracle_counts_only_terrestrial_users(self, tmp_path):
