@@ -94,6 +94,9 @@ class ScenarioConfig:
                 setattr(self, name, int(value))
         if min(self.n_tbs, self.n_fembb, self.n_eurllc, self.seed) < 0:
             raise ConfigError("n_tbs/n_fembb/n_eurllc/seed must be >= 0")
+        if self.n_fembb + self.n_eurllc < 1:
+            raise ConfigError("n_fembb + n_eurllc must be >= 1: a scenario "
+                              "needs a user")
         if not 0.0 <= self.aerial_fraction <= 1.0:
             raise ConfigError("aerial_fraction must lie in [0, 1]")
         if not 0.0 <= self.hotspot_fraction <= 1.0:

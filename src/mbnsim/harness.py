@@ -106,6 +106,9 @@ class ExperimentSpec:
                                   f"got {self.sweep_param!r}")
             if not self.sweep_values:
                 raise ConfigError("sweep_values must be non-empty")
+            if len(set(self.sweep_values)) != len(self.sweep_values):
+                raise ConfigError(f"sweep_values must be distinct, "
+                                  f"got {self.sweep_values!r}")
             scenarios = [self.scenario.replace(**{self.sweep_param: value})
                          for value in self.sweep_values]
         if self.algorithm == "optimal":

@@ -32,6 +32,10 @@ class _Network:
     `params` is the list of per-layer weight/bias views into it (w0, b0, w1,
     b1, ...). `grad` is the gradient buffer `backward` fills, laid out the
     same way and of the same type.
+    `live_inputs` marks the input features some batch given to `backward`
+    has fed a non-zero value: the only rows of w0 whose gradient has ever
+    been non-zero. It is None when that is not tracked: for a network with
+    no hidden layer, and for good once over a third of the inputs are live.
     Subclasses share the ReLU trunk and give their (fan_in, fan_out) layers in
     `_layer_shapes` and their output head in `_head` and `_head_backward`."""
 
@@ -46,6 +50,8 @@ class _Network:
         self._bind(np.zeros(sum((fan_in + 1) * fan_out
                                 for fan_in, fan_out in self._layer_shapes()),
                             dtype=dtype))
+        self.live_inputs = (np.zeros(input_dim, dtype=bool)
+                            if self.hidden_sizes else None)
         for w in self.params[::2]:
             # He-style scaling for rectified-linear hiddens; biases stay 0.
             # The draws are float64 whatever the dtype, so the stream of
@@ -73,7 +79,15 @@ class _Network:
     def clone(self):
         new = copy.copy(self)
         new._bind(self.flat.copy())
+        if self.live_inputs is not None:
+            new.live_inputs = self.live_inputs.copy()
         return new
+
+    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A vector laid out like `flat` as two views: the first layer's
+        weight matrix, whose rows `live_inputs` describes, and the rest."""
+        first = self.params[0]
+        return vec[:first.size].reshape(first.shape), vec[first.size:]
 
     def load_params_from(self, other: "_Network") -> None:
         # in place: rebinding `flat` would cut the `params` views off from it
@@ -99,17 +113,50 @@ class _Network:
 
     def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
         """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
-        Returns the network's own `grad` buffer: the next call overwrites it."""
+        Returns the network's own `grad` buffer: the next call overwrites it.
+
+        While `live_inputs` is kept, the first layer's weight gradient is
+        zeroed and only the rows of the batch's non-zero input columns are
+        computed, as one product over those columns. That is bit-identical
+        to the full product (the tests check it): an all-zero column gives
+        a +0 row, and a product over two or more columns sums each row's
+        batch in the same order. Over exactly one column numpy takes a
+        matrix-vector path whose last bit differs, so that batch, like every
+        batch once the mask is dropped, takes the full product. The forward
+        pass stays dense: BLAS sums a product's inner dimension in blocks,
+        so dropping zero columns there would change the last bit."""
         views = self._grad_views
         grad = self._head_backward(cache[-1], dq, views)
         for layer in reversed(range(len(self.hidden_sizes))):
             h_in, z = cache[layer]
             grad = grad * (z > 0.0)
-            np.matmul(h_in.T, grad, out=views[2 * layer])
+            cols = self._live_columns(h_in) if layer == 0 else None
+            if cols is None:
+                np.matmul(h_in.T, grad, out=views[2 * layer])
+            else:
+                views[0][...] = 0.0
+                views[0][cols] = h_in[:, cols].T @ grad
             grad.sum(axis=0, out=views[2 * layer + 1])
             if layer > 0:
                 grad = grad @ self.params[2 * layer].T
         return self.grad
+
+    def _live_columns(self, x: np.ndarray) -> np.ndarray | None:
+        """Add the batch's non-zero input columns to `live_inputs` and return
+        their indices when the first layer's gradient may be written row by
+        row; None when it takes the full product. Past a third of the inputs
+        the row-wise gradient and update save little, and the optimizer's
+        scratch arrays no longer hold the gathered rows, so the mask is
+        dropped."""
+        if self.live_inputs is None:
+            return None
+        batch = x.any(axis=0)
+        self.live_inputs |= batch
+        if 3 * np.count_nonzero(self.live_inputs) > self.input_dim:
+            self.live_inputs = None
+            return None
+        cols = np.flatnonzero(batch)
+        return cols if cols.size >= 2 else None
 
 
 class QNetwork(_Network):
@@ -193,12 +240,25 @@ class AdamOptimizer:
     Updates run in place through two scratch arrays per parameter array, in
     the same operations and order as p -= lr * (m / c1) / (sqrt(v / c2) + eps),
     so a step allocates nothing the size of the parameters and its results
-    are bit-identical to that expression."""
+    are bit-identical to that expression.
+
+    Given the `network` whose `flat` is `params[0]` (its only entry), a
+    step updates, while the network keeps its `live_inputs` mask, only the
+    rows of the first-layer weight matrix that mask marks, and the rest of
+    the vector (see `_Network.split`) in full. The other rows have had only
+    zero gradients, so their moments are +0 and the full update would leave
+    them exactly as they are. The live rows of p, g, m and v are gathered
+    into the first-layer parts of the two scratch arrays, updated by the
+    same operations and p, m and v scattered back; the six gathered blocks
+    fit there because the network drops the mask past a third of the rows.
+    Without the mask a step is one pass over the whole vector."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float):
+    def __init__(self, params: list[np.ndarray], learning_rate: float,
+                 network: _Network | None = None):
         self.lr = learning_rate
+        self.network = network
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
@@ -208,22 +268,46 @@ class AdamOptimizer:
         self.t += 1
         c1 = 1.0 - self.BETA1 ** self.t
         c2 = 1.0 - self.BETA2 ** self.t
+        live = None if self.network is None else self.network.live_inputs
         for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v,
                                       self._scratch):
-            m *= self.BETA1
-            np.multiply(1.0 - self.BETA1, g, out=a)
-            m += a
-            v *= self.BETA2
-            np.multiply(1.0 - self.BETA2, g, out=a)
-            a *= g                       # ((1-b2)*g)*g, not (1-b2)*(g*g)
-            v += a
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += self.EPS
-            np.divide(m, c1, out=b)
-            np.multiply(self.lr, b, out=b)
-            b /= a
-            p -= b
+            if live is None:
+                self._update(p, g, m, v, a, b, c1, c2)
+            else:
+                first, rest = zip(*map(self.network.split,
+                                       (p, g, m, v, a, b)))
+                self._update_rows(np.flatnonzero(live), *first, c1, c2)
+                self._update(*rest, c1, c2)
+
+    def _update(self, p, g, m, v, a, b, c1: float, c2: float) -> None:
+        m *= self.BETA1
+        np.multiply(1.0 - self.BETA1, g, out=a)
+        m += a
+        v *= self.BETA2
+        np.multiply(1.0 - self.BETA2, g, out=a)
+        a *= g                           # ((1-b2)*g)*g, not (1-b2)*(g*g)
+        v += a
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += self.EPS
+        np.divide(m, c1, out=b)
+        np.multiply(self.lr, b, out=b)
+        b /= a
+        p -= b
+
+    def _update_rows(self, rows: np.ndarray, p, g, m, v, a, b,
+                     c1: float, c2: float) -> None:
+        """`_update` on the given rows of 2-d arrays only."""
+        shape = (3, rows.size, p.shape[1])
+        p_r, g_r, m_r = a.reshape(-1)[:math.prod(shape)].reshape(shape)
+        v_r, a_r, b_r = b.reshape(-1)[:math.prod(shape)].reshape(shape)
+        for full, part in ((p, p_r), (g, g_r), (m, m_r), (v, v_r)):
+            # mode="raise" would buffer `out`; the rows are in range
+            np.take(full, rows, axis=0, out=part, mode="clip")
+        self._update(p_r, g_r, m_r, v_r, a_r, b_r, c1, c2)
+        p[rows] = p_r
+        m[rows] = m_r
+        v[rows] = v_r
 
 
 # ---------------------------------------------------------------------------

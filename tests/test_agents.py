@@ -531,18 +531,25 @@ class TestAdam:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_full_scale_step_and_backward_allocate_little(self):
-        # 982 -> 128 -> 128 is the full-scale eURLLC network
-        rng = np.random.default_rng(3)
-        model = DuelingQNetwork(982, (128, 128), 140, rng)
-        assert model.flat.dtype == np.float32
-        cache: list = []
-        model.forward(rng.normal(size=(64, 982)), cache)
-        dq = rng.normal(size=(64, 140)).astype(np.float32)
-        grad = model.backward(cache, dq).copy()
-        opt = AdamOptimizer([model.flat], 1e-3)
-        bound = model.flat.nbytes / 4
-        assert peak_extra_bytes(lambda: opt.step([model.flat], [grad])) < bound
-        assert peak_extra_bytes(lambda: model.backward(cache, dq)) < bound
+        # 982 -> 128 -> 128 is the full-scale eURLLC network. A dense batch
+        # drops the live-input mask; in one with about 15% of the columns
+        # non-zero, as at full scale, the first layer takes the sparse path
+        for live_share in (1.0, 0.15):
+            rng = np.random.default_rng(3)
+            model = DuelingQNetwork(982, (128, 128), 140, rng)
+            assert model.flat.dtype == np.float32
+            x = rng.normal(size=(64, 982))
+            x[:, rng.random(982) >= live_share] = 0.0
+            cache: list = []
+            model.forward(x, cache)
+            dq = rng.normal(size=(64, 140)).astype(np.float32)
+            grad = model.backward(cache, dq).copy()
+            assert (model.live_inputs is None) == (live_share == 1.0)
+            opt = AdamOptimizer([model.flat], 1e-3, model)
+            bound = model.flat.nbytes / 4
+            assert peak_extra_bytes(
+                lambda: opt.step([model.flat], [grad])) < bound
+            assert peak_extra_bytes(lambda: model.backward(cache, dq)) < bound
 
     @pytest.mark.parametrize("make", [small_plain, small_dueling])
     def test_backward_fills_own_gradient_buffer(self, make):
@@ -556,6 +563,133 @@ class TestAdam:
         first = grad.copy()
         clone.backward(cache, 2.0 * np.ones((3, 4)))
         assert np.array_equal(model.grad, first)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: +0 and -0 differ, NaNs may match."""
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def reference_backward(model, cache: list, dq: np.ndarray) -> np.ndarray:
+    """Dense gradient laid out like `flat`: the head through the model's
+    own `_head_backward`, each trunk layer's weights as the full product
+    h_in.T @ grad."""
+    out = np.empty_like(model.flat)
+    views = model._views(out)
+    grad = model._head_backward(cache[-1], dq, views)
+    for layer in reversed(range(len(model.hidden_sizes))):
+        h_in, z = cache[layer]
+        grad = grad * (z > 0.0)
+        views[2 * layer][...] = h_in.T @ grad
+        views[2 * layer + 1][...] = grad.sum(axis=0)
+        grad = grad @ model.params[2 * layer].T
+    return out
+
+
+class TestSparseFirstLayer:
+    """The first layer trains only on input features some batch has fed a
+    non-zero value, while those are at most a third of the inputs; the
+    result must be bit-identical to the dense gradient and update."""
+
+    INPUT_DIM, BATCH, ACTIONS, LR = 30, 5, 4, 1e-2
+    HIDDEN = {"plain": (8, 6), "dueling": (8, 6), "linear": ()}
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["plain", "dueling", "linear"]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 10_000),
+           live_counts=st.lists(st.integers(0, 12), min_size=1, max_size=8))
+    # 0, 1 and 2 live columns under the switch; runs that cross it
+    @example(kind="dueling", dtype=np.float32, seed=0,
+             live_counts=[0, 1, 2, 2, 3])
+    @example(kind="plain", dtype=np.float64, seed=1,
+             live_counts=[2, 1, 0, 12, 1])
+    @example(kind="linear", dtype=np.float32, seed=2, live_counts=[1, 2, 12])
+    def test_steps_match_dense_reference_bit_for_bit(self, kind, dtype, seed,
+                                                     live_counts):
+        rng = np.random.default_rng(seed)
+        d, batch, actions = self.INPUT_DIM, self.BATCH, self.ACTIONS
+        model = build_network("dueling" if kind == "dueling" else "plain", d,
+                              self.HIDDEN[kind], actions, rng, dtype)
+        ref = model.clone()
+        first = model.params[0].copy()
+        opt = AdamOptimizer([model.flat], self.LR, model)
+        ref_m, ref_v = [np.zeros_like(ref.flat)], [np.zeros_like(ref.flat)]
+        ever_live = np.zeros(d, dtype=bool)
+        for t, count in enumerate(live_counts, start=1):
+            x = np.zeros((batch, d))
+            cols = rng.choice(d, size=count, replace=False)
+            # sparse rows too; the first row keeps every chosen column live
+            x[:, cols] = rng.normal(size=(batch, count)) * (
+                rng.random((batch, count)) < 0.6)
+            x[0, cols] = rng.normal(size=count)
+            ever_live[cols] = True
+            acts = rng.integers(actions, size=batch)
+            targets = rng.normal(size=batch)
+            losses, grads = [], []
+            for net in (model, ref):
+                cache: list = []
+                q = net.forward(x, cache)
+                td_err = q[np.arange(batch), acts] - targets
+                losses.append(float(np.mean(td_err ** 2)))
+                dq = np.zeros_like(q)
+                dq[np.arange(batch), acts] = 2.0 * td_err / batch
+                grads.append(clip_gradients(
+                    model.backward(cache, dq) if net is model
+                    else reference_backward(ref, cache, dq), 1.0))
+            assert losses[0] == losses[1]
+            assert same_bits(*grads)
+            opt.step([model.flat], [grads[0]])
+            TestAdam.reference_step([ref.flat], [grads[1]], ref_m, ref_v, t,
+                                    self.LR)
+            assert same_bits(model.flat, ref.flat)
+            assert same_bits(opt.m[0], ref_m[0])
+            assert same_bits(opt.v[0], ref_v[0])
+            # the mask is kept, without a hidden layer never, up to d / 3
+            assert (model.live_inputs is None) == (
+                not self.HIDDEN[kind] or 3 * ever_live.sum() > d)
+        dead = ~ever_live
+        assert same_bits(model.params[0][dead], first[dead])
+        for moment in (opt.m[0], opt.v[0]):
+            assert not model.split(moment)[0][dead].any()
+
+    @pytest.mark.parametrize("live", [2, 147, 327])
+    def test_full_scale_gradient_matches_dense(self, live):
+        # products large enough for BLAS to split them over its threads
+        rng = np.random.default_rng(live)
+        model = DuelingQNetwork(982, (128, 128), 140, rng)
+        x = np.zeros((64, 982))
+        x[:, rng.choice(982, size=live, replace=False)] = rng.normal(
+            size=(64, live))
+        cache: list = []
+        model.forward(x, cache)
+        dq = rng.normal(size=(64, 140)).astype(np.float32)
+        assert same_bits(model.backward(cache, dq),
+                         reference_backward(model, cache, dq))
+        assert model.live_inputs is not None
+
+    @pytest.mark.parametrize("variant", list(Algorithm))
+    def test_trainer_matches_dense_trainer(self, variant):
+        # one network left without a mask takes the dense path throughout
+        cfg = TrainerConfig(batch_size=4, buffer_capacity=64,
+                            target_sync_period=5, hidden_sizes=(8, 8))
+        sparse, dense = (DqnTrainer(variant, 30, 4, cfg, seed=9)
+                         for _ in range(2))
+        dense.online.live_inputs = None
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            obs, next_obs = np.zeros((2, 30))
+            obs[i % 7], next_obs[(i + 1) % 7] = rng.normal(size=2)
+            transition = (obs, int(rng.integers(4)), rng.normal(), next_obs,
+                          i % 5 == 4)
+            for trainer in (sparse, dense):
+                trainer.push(*transition)
+            if i >= 4:
+                assert sparse.train_step() == dense.train_step()
+        assert sparse.online.live_inputs is not None
+        assert same_bits(sparse.online.flat, dense.online.flat)
+        assert same_bits(sparse.target.flat, dense.target.flat)
 
 
 class TestCheckpoints:

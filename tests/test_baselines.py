@@ -63,7 +63,10 @@ class TestOracleCrossCheck:
         assert alloc.fembb_k[0] == 1
 
     def test_zero_users_is_empty_and_zero(self):
-        state = desk_state(n_fembb=0, n_eurllc=0)
+        # the single-cell transform keeps no user of an all-aerial scenario
+        state = make_sc_scenario(desk_state(n_fembb=1, n_eurllc=1,
+                                            aerial_fraction=1.0))
+        assert state.n_users == 0
         alloc, value = optimal_allocation(state,
                                           ScalarizedObjective.for_state(state))
         assert value == 0.0

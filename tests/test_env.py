@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbnsim.config import ScenarioConfig
@@ -511,7 +511,12 @@ class TestEnvStep:
                 env.step(int(rng.integers(env.action_count_for(user))))
 
     def test_empty_scenario_reset_is_done(self):
-        env = JnsaEnv(make_state(n_fembb=0, n_eurllc=0), seed=1)
+        # a scenario needs a user, but the single-cell transform drops the
+        # aerial ones, so it leaves none of an all-aerial scenario
+        state = make_sc_scenario(make_state(n_fembb=1, n_eurllc=1,
+                                            aerial_fraction=1.0))
+        assert state.n_users == 0
+        env = JnsaEnv(state, seed=1)
         env.reset()
         assert env.done
 
@@ -588,6 +593,7 @@ class TestIncrementalScoring:
         # few subchannels crowd links onto shared ones, and hotspot users
         # put THz stations to work: interference, punctures of occupied and
         # of free subchannels, and slot conflicts all occur
+        assume(n_fembb + n_eurllc > 0)   # a scenario without users is invalid
         placement = (dict(aerial_fraction=0.0, hotspot_fraction=1.0)
                      if hotspots else {})
         state = SCORING_VARIANTS[variant](make_state(

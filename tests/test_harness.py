@@ -107,6 +107,10 @@ class TestSpecValidation:
             tiny_spec(sweep_param="cell_radius_m",
                       sweep_values=(1, 2)).validate()
 
+    def test_duplicate_sweep_values(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            tiny_spec(sweep_param="n_eurllc", sweep_values=(1, 2, 1.0)).validate()
+
     def test_sweep_pairing(self):
         with pytest.raises(ConfigError, match="sweep"):
             tiny_spec(sweep_param="n_eurllc").validate()
@@ -448,6 +452,10 @@ class TestCli:
         ("seed: -1\n", ["oracle", "--seed", "1"]),
         ("", ["sweep", "--algo", "optimal", "--episodes", "1", "--seed", "1",
               "--param", "minislots_per_subchannel", "--values", "2", "0"]),
+        ("", ["sweep", "--algo", "dqn", "--episodes", "1", "--seed", "1",
+              "--param", "n_fembb", "--values", "2", "2"]),
+        ("n_fembb: 0\nn_eurllc: 0\n",
+         ["train", "--algo", "dqn", "--seed", "1", "--episodes", "5"]),
         ("", ["oracle", "--seed", "1", "-1"]),
         ("", ["oracle", "--seed", "1", "1"]),
         ("", ["train", "--algo", "dqn", "--seed", "1", "--episodes", "0"]),
@@ -474,7 +482,8 @@ class TestCli:
         ("", [*EVALUATE_MOBILITY, "--use-oracle", "--seed", "-1"]),
     ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
-            "zero_minislots_sweep_value", "negative_seed", "repeated_seed",
+            "zero_minislots_sweep_value", "repeated_sweep_value", "no_users",
+            "negative_seed", "repeated_seed",
             "zero_episodes", "oracle_too_many_users",
             "oracle_too_many_subchannels", "optimal_sweep_too_many_users",
             "sc_oracle_too_many_terrestrial_users",
@@ -630,6 +639,15 @@ class TestConfigFile:
             ScenarioConfig(**{field: value})
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig.desk_default().replace(**{field: value})
+
+    def test_scenario_needs_a_user(self):
+        with pytest.raises(ConfigError, match="n_fembb \\+ n_eurllc"):
+            ScenarioConfig(n_fembb=0, n_eurllc=0)
+        with pytest.raises(ConfigError, match="n_fembb \\+ n_eurllc"):
+            ScenarioConfig.desk_default().replace(n_fembb=0, n_eurllc=0)
+        # one class alone is a valid scenario
+        assert ScenarioConfig(n_fembb=0, n_eurllc=1).n_eurllc == 1
+        assert ScenarioConfig(n_fembb=1, n_eurllc=0).n_fembb == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"

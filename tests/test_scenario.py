@@ -156,11 +156,15 @@ class TestJsonSnapshot:
             [(s.position.tolist(), s.band, s.max_power_w, s.coverage_radius_m)
              for s in state.topology.stations]
 
-    @pytest.mark.parametrize("cfg", [desk_cfg(), desk_cfg(n_tbs=0),
-                                     desk_cfg(n_fembb=0, n_eurllc=0)],
-                             ids=["desk", "rf_only", "no_users"])
-    def test_round_trip_is_byte_identical(self, cfg):
-        text = json.dumps(state_to_json(generate_scenario(cfg, seed=41)))
+    @pytest.mark.parametrize("make", [
+        lambda: generate_scenario(desk_cfg(), seed=41),
+        lambda: generate_scenario(desk_cfg(n_tbs=0), seed=41),
+        # the single-cell transform keeps no user of an all-aerial scenario
+        lambda: make_sc_scenario(generate_scenario(
+            desk_cfg(n_fembb=1, n_eurllc=1, aerial_fraction=1.0), seed=41)),
+    ], ids=["desk", "rf_only", "no_users"])
+    def test_round_trip_is_byte_identical(self, make):
+        text = json.dumps(state_to_json(make()))
         back = state_from_json(json.loads(text))
         assert back.gains.shape == (back.n_users, back.n_bs,
                                     back.n_subchannels)
