@@ -34,8 +34,8 @@ class _Network:
     same way and of the same type.
     `live_inputs` marks the input features some batch given to `backward`
     has fed a non-zero value: the only rows of w0 whose gradient has ever
-    been non-zero. It is None when that is not tracked: for a network with
-    no hidden layer, and for good once over a third of the inputs are live.
+    been non-zero. The set only grows. It is None for a network with no
+    hidden layer, whose first matrix is the output head.
     Subclasses share the ReLU trunk and give their (fan_in, fan_out) layers in
     `_layer_shapes` and their output head in `_head` and `_head_backward`."""
 
@@ -114,49 +114,19 @@ class _Network:
     def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
         """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
         Returns the network's own `grad` buffer: the next call overwrites it.
-
-        While `live_inputs` is kept, the first layer's weight gradient is
-        zeroed and only the rows of the batch's non-zero input columns are
-        computed, as one product over those columns. That is bit-identical
-        to the full product (the tests check it): an all-zero column gives
-        a +0 row, and a product over two or more columns sums each row's
-        batch in the same order. Over exactly one column numpy takes a
-        matrix-vector path whose last bit differs, so that batch, like every
-        batch once the mask is dropped, takes the full product. The forward
-        pass stays dense: BLAS sums a product's inner dimension in blocks,
-        so dropping zero columns there would change the last bit."""
+        Also adds the batch's non-zero input columns to `live_inputs`."""
+        if self.live_inputs is not None:
+            self.live_inputs |= cache[0][0].any(axis=0)
         views = self._grad_views
         grad = self._head_backward(cache[-1], dq, views)
         for layer in reversed(range(len(self.hidden_sizes))):
             h_in, z = cache[layer]
             grad = grad * (z > 0.0)
-            cols = self._live_columns(h_in) if layer == 0 else None
-            if cols is None:
-                np.matmul(h_in.T, grad, out=views[2 * layer])
-            else:
-                views[0][...] = 0.0
-                views[0][cols] = h_in[:, cols].T @ grad
+            np.matmul(h_in.T, grad, out=views[2 * layer])
             grad.sum(axis=0, out=views[2 * layer + 1])
             if layer > 0:
                 grad = grad @ self.params[2 * layer].T
         return self.grad
-
-    def _live_columns(self, x: np.ndarray) -> np.ndarray | None:
-        """Add the batch's non-zero input columns to `live_inputs` and return
-        their indices when the first layer's gradient may be written row by
-        row; None when it takes the full product. Past a third of the inputs
-        the row-wise gradient and update save little, and the optimizer's
-        scratch arrays no longer hold the gathered rows, so the mask is
-        dropped."""
-        if self.live_inputs is None:
-            return None
-        batch = x.any(axis=0)
-        self.live_inputs |= batch
-        if 3 * np.count_nonzero(self.live_inputs) > self.input_dim:
-            self.live_inputs = None
-            return None
-        cols = np.flatnonzero(batch)
-        return cols if cols.size >= 2 else None
 
 
 class QNetwork(_Network):
@@ -242,21 +212,25 @@ class AdamOptimizer:
     so a step allocates nothing the size of the parameters and its results
     are bit-identical to that expression.
 
-    Given the `network` whose `flat` is `params[0]` (its only entry), a
-    step updates, while the network keeps its `live_inputs` mask, only the
-    rows of the first-layer weight matrix that mask marks, and the rest of
-    the vector (see `_Network.split`) in full. The other rows have had only
-    zero gradients, so their moments are +0 and the full update would leave
-    them exactly as they are. The live rows of p, g, m and v are gathered
-    into the first-layer parts of the two scratch arrays, updated by the
-    same operations and p, m and v scattered back; the six gathered blocks
-    fit there because the network drops the mask past a third of the rows.
-    Without the mask a step is one pass over the whole vector."""
+    Given the `network` whose `flat` is the only parameter array, a step
+    updates only the rows of the first-layer weight matrix its
+    `live_inputs` marks, while they are at most a third of the rows, and
+    the rest of the vector (see `_Network.split`) in full. The other rows
+    have had only +0 or -0 gradients, so their moments are still +0 and
+    the full update would leave them exactly as they are; the gradient and
+    `clip_gradients`' norm stay dense. The live rows of p, g, m and v are
+    gathered into the first-layer parts of the two scratch arrays, updated
+    by the same operations and p, m and v scattered back; the six gathered
+    blocks fit there only up to a third of the rows. Past that, as without
+    a network, every later step is one pass over the whole vector."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params: list[np.ndarray], learning_rate: float,
                  network: _Network | None = None):
+        if network is not None and (len(params) != 1
+                                    or params[0] is not network.flat):
+            raise ValueError("with a network, params must be [network.flat]")
         self.lr = learning_rate
         self.network = network
         self.m = [np.zeros_like(p) for p in params]
@@ -268,16 +242,27 @@ class AdamOptimizer:
         self.t += 1
         c1 = 1.0 - self.BETA1 ** self.t
         c2 = 1.0 - self.BETA2 ** self.t
-        live = None if self.network is None else self.network.live_inputs
+        rows = self._live_rows()
         for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v,
                                       self._scratch):
-            if live is None:
+            if rows is None:
                 self._update(p, g, m, v, a, b, c1, c2)
             else:
                 first, rest = zip(*map(self.network.split,
                                        (p, g, m, v, a, b)))
-                self._update_rows(np.flatnonzero(live), *first, c1, c2)
+                self._update_rows(rows, *first, c1, c2)
                 self._update(*rest, c1, c2)
+
+    def _live_rows(self) -> np.ndarray | None:
+        """The first-layer rows to update alone, or None for a full pass."""
+        live = None if self.network is None else self.network.live_inputs
+        if live is None:
+            return None
+        rows = np.flatnonzero(live)
+        if 3 * rows.size > live.size:
+            self.network = None      # the mask only grows: a full pass for good
+            return None
+        return rows
 
     def _update(self, p, g, m, v, a, b, c1: float, c2: float) -> None:
         m *= self.BETA1

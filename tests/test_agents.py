@@ -531,9 +531,10 @@ class TestAdam:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_full_scale_step_and_backward_allocate_little(self):
-        # 982 -> 128 -> 128 is the full-scale eURLLC network. A dense batch
-        # drops the live-input mask; in one with about 15% of the columns
-        # non-zero, as at full scale, the first layer takes the sparse path
+        # 982 -> 128 -> 128 is the full-scale eURLLC network. After a dense
+        # batch Adam updates every row; after one with about 15% of the
+        # columns non-zero, as at full scale, it updates the first layer's
+        # live rows only
         for live_share in (1.0, 0.15):
             rng = np.random.default_rng(3)
             model = DuelingQNetwork(982, (128, 128), 140, rng)
@@ -544,8 +545,8 @@ class TestAdam:
             model.forward(x, cache)
             dq = rng.normal(size=(64, 140)).astype(np.float32)
             grad = model.backward(cache, dq).copy()
-            assert (model.live_inputs is None) == (live_share == 1.0)
             opt = AdamOptimizer([model.flat], 1e-3, model)
+            assert (opt._live_rows() is None) == (live_share == 1.0)
             bound = model.flat.nbytes / 4
             assert peak_extra_bytes(
                 lambda: opt.step([model.flat], [grad])) < bound
@@ -588,9 +589,9 @@ def reference_backward(model, cache: list, dq: np.ndarray) -> np.ndarray:
 
 
 class TestSparseFirstLayer:
-    """The first layer trains only on input features some batch has fed a
-    non-zero value, while those are at most a third of the inputs; the
-    result must be bit-identical to the dense gradient and update."""
+    """Adam updates only the first-layer rows of input features some batch
+    has fed a non-zero value, while those are at most a third of the
+    inputs; the result must be bit-identical to the dense update."""
 
     INPUT_DIM, BATCH, ACTIONS, LR = 30, 5, 4, 1e-2
     HIDDEN = {"plain": (8, 6), "dueling": (8, 6), "linear": ()}
@@ -646,28 +647,24 @@ class TestSparseFirstLayer:
             assert same_bits(model.flat, ref.flat)
             assert same_bits(opt.m[0], ref_m[0])
             assert same_bits(opt.v[0], ref_v[0])
-            # the mask is kept, without a hidden layer never, up to d / 3
-            assert (model.live_inputs is None) == (
+            if self.HIDDEN[kind]:
+                assert np.array_equal(model.live_inputs, ever_live)
+            else:
+                assert model.live_inputs is None
+            # the first layer is updated row by row up to d / 3 live rows
+            assert (opt._live_rows() is None) == (
                 not self.HIDDEN[kind] or 3 * ever_live.sum() > d)
         dead = ~ever_live
         assert same_bits(model.params[0][dead], first[dead])
         for moment in (opt.m[0], opt.v[0]):
             assert not model.split(moment)[0][dead].any()
 
-    @pytest.mark.parametrize("live", [2, 147, 327])
-    def test_full_scale_gradient_matches_dense(self, live):
-        # products large enough for BLAS to split them over its threads
-        rng = np.random.default_rng(live)
-        model = DuelingQNetwork(982, (128, 128), 140, rng)
-        x = np.zeros((64, 982))
-        x[:, rng.choice(982, size=live, replace=False)] = rng.normal(
-            size=(64, live))
-        cache: list = []
-        model.forward(x, cache)
-        dq = rng.normal(size=(64, 140)).astype(np.float32)
-        assert same_bits(model.backward(cache, dq),
-                         reference_backward(model, cache, dq))
-        assert model.live_inputs is not None
+    def test_network_optimizer_takes_only_its_flat_vector(self):
+        model = small_dueling()
+        for params in ([model.flat.copy()], [model.flat, model.flat],
+                       model.params):
+            with pytest.raises(ValueError, match="network.flat"):
+                AdamOptimizer(params, 1e-3, model)
 
     @pytest.mark.parametrize("variant", list(Algorithm))
     def test_trainer_matches_dense_trainer(self, variant):
