@@ -111,11 +111,14 @@ class ExperimentSpec:
                                   f"got {self.sweep_values!r}")
             scenarios = [self.scenario.replace(**{self.sweep_param: value})
                          for value in self.sweep_values]
-        if self.algorithm == "optimal":
-            for cfg in scenarios:
-                counts = (cfg.n_fembb, cfg.n_eurllc)
-                if self.env_variant in ("sc", "sc_noqos"):  # terrestrial only
-                    counts = [n - cfg.aerial_count(n) for n in counts]
+        for cfg in scenarios:
+            counts = (cfg.n_fembb, cfg.n_eurllc)
+            if self.env_variant in ("sc", "sc_noqos"):  # terrestrial only
+                counts = [n - cfg.aerial_count(n) for n in counts]
+            if sum(counts) < 1:
+                raise ConfigError(f"the {self.env_variant} variant keeps no "
+                                  f"users: it drops every aerial one")
+            if self.algorithm == "optimal":
                 check_instance_size(sum(counts), cfg.subchannels_per_band)
 
     def to_dict(self) -> dict:

@@ -36,6 +36,14 @@ class _Network:
     has fed a non-zero value: the only rows of w0 whose gradient has ever
     been non-zero. The set only grows. It is None for a network with no
     hidden layer, whose first matrix is the output head.
+    A batch of at least 2 rows with non-zero values in at most a third of
+    its input features runs the first hidden layer over those columns only,
+    x[:, cols] @ w0[cols] + b0, and `backward` writes its w0 gradient on
+    those rows and +0 on the others. Single rows, denser batches and
+    networks with no hidden layer take the full product. Dropping zero
+    terms regroups the sums, so a compacted product may differ from the
+    full one in the last bit: full-scale training numbers depend on the
+    rule, while desk batches, always more than a third non-zero, do not.
     Subclasses share the ReLU trunk and give their (fan_in, fan_out) layers in
     `_layer_shapes` and their output head in `_head` and `_head_backward`."""
 
@@ -94,7 +102,11 @@ class _Network:
         self.flat[...] = other.flat
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        """Q-values of an observation or batch; fills `cache` for `backward`."""
+        """Q-values of an observation or batch; fills `cache` for `backward`.
+        The cache holds (h_in, z) per hidden layer and then the last hidden
+        activation; the first layer's entry adds the batch's non-zero input
+        columns as a mask and, if its input was compacted, their indices
+        (else None)."""
         if x.ndim == 1:
             return self.forward(x[None, :], cache)[0]
         if x.shape[1] != self.input_dim:
@@ -103,9 +115,20 @@ class _Network:
         # every product with float32 weights back to float64
         h = x.astype(self.flat.dtype, copy=False)
         for layer in range(len(self.hidden_sizes)):
-            z = h @ self.params[2 * layer] + self.params[2 * layer + 1]
+            w, b = self.params[2 * layer], self.params[2 * layer + 1]
+            columns = ()
+            if layer == 0 and (cache is not None or len(h) > 1):
+                # the one scan of the input; `backward` reads it too
+                nonzero = h.any(axis=0)
+                cols = None
+                if (len(h) > 1
+                        and 3 * np.count_nonzero(nonzero) <= self.input_dim):
+                    cols = np.flatnonzero(nonzero)
+                    h, w = h[:, cols], w[cols]
+                columns = (nonzero, cols)
+            z = h @ w + b
             if cache is not None:
-                cache.append((h, z))
+                cache.append((h, z, *columns))
             h = np.maximum(z, 0.0)
         if cache is not None:
             cache.append(h)
@@ -115,17 +138,22 @@ class _Network:
         """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
         Returns the network's own `grad` buffer: the next call overwrites it.
         Also adds the batch's non-zero input columns to `live_inputs`."""
-        if self.live_inputs is not None:
-            self.live_inputs |= cache[0][0].any(axis=0)
         views = self._grad_views
         grad = self._head_backward(cache[-1], dq, views)
         for layer in reversed(range(len(self.hidden_sizes))):
-            h_in, z = cache[layer]
+            h_in, z = cache[layer][:2]
             grad = grad * (z > 0.0)
-            np.matmul(h_in.T, grad, out=views[2 * layer])
+            cols = cache[0][3] if layer == 0 else None
+            if cols is None:
+                np.matmul(h_in.T, grad, out=views[2 * layer])
+            else:
+                views[0].fill(0.0)       # +0, so Adam's dead rows stay put
+                views[0][cols] = h_in.T @ grad
             grad.sum(axis=0, out=views[2 * layer + 1])
             if layer > 0:
                 grad = grad @ self.params[2 * layer].T
+        if self.live_inputs is not None:
+            self.live_inputs |= cache[0][2]
         return self.grad
 
 
@@ -217,8 +245,10 @@ class AdamOptimizer:
     `live_inputs` marks, while they are at most a third of the rows, and
     the rest of the vector (see `_Network.split`) in full. The other rows
     have had only +0 or -0 gradients, so their moments are still +0 and
-    the full update would leave them exactly as they are; the gradient and
-    `clip_gradients`' norm stay dense. The live rows of p, g, m and v are
+    the full update would leave them exactly as they are. `backward` runs a
+    sparse batch's first layer over its non-zero columns only (see
+    `_Network`), but its gradient, and so `clip_gradients`' norm, stays a
+    full vector, +0 on the other rows. The live rows of p, g, m and v are
     gathered into the first-layer parts of the two scratch arrays, updated
     by the same operations and p, m and v scattered back; the six gathered
     blocks fit there only up to a third of the rows. Past that, as without

@@ -456,6 +456,13 @@ class TestCli:
               "--param", "n_fembb", "--values", "2", "2"]),
         ("n_fembb: 0\nn_eurllc: 0\n",
          ["train", "--algo", "dqn", "--seed", "1", "--episodes", "5"]),
+        # sc keeps terrestrial users only
+        ("n_fembb: 1\nn_eurllc: 1\naerial_fraction: 1.0\n",
+         ["train", "--env-variant", "sc", "--algo", "dqn", "--seed", "1",
+          "--episodes", "5"]),
+        ("n_fembb: 0\nn_eurllc: 2\naerial_fraction: 1.0\n",
+         ["train", "--env-variant", "sc", "--algo", "dqn", "--seed", "1",
+          "--episodes", "5"]),
         ("", ["oracle", "--seed", "1", "-1"]),
         ("", ["oracle", "--seed", "1", "1"]),
         ("", ["train", "--algo", "dqn", "--seed", "1", "--episodes", "0"]),
@@ -483,6 +490,7 @@ class TestCli:
     ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
             "zero_minislots_sweep_value", "repeated_sweep_value", "no_users",
+            "sc_all_aerial", "sc_all_aerial_eurllc_only",
             "negative_seed", "repeated_seed",
             "zero_episodes", "oracle_too_many_users",
             "oracle_too_many_subchannels", "optimal_sweep_too_many_users",
