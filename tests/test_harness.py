@@ -618,6 +618,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: checkpoint lacks")
 
 
+    def test_checkpoint_not_an_object_exit_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "list.json"
+        ckpt.write_text("[]")
+        rc = cli.main(["evaluate", "--config", str(self._write_cfg(tmp_path)),
+                       "--checkpoint-fembb", str(ckpt),
+                       "--checkpoint-eurllc", str(ckpt),
+                       "--perturbation", "mobility", "--values", "0",
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "eval").exists()
+
+
 class TestConfigFile:
     def test_yaml_round_trip(self, tmp_path):
         cfg = ScenarioConfig.desk_default().replace(n_fembb=7, seed=99)
