@@ -153,8 +153,7 @@ class DqnTrainer:
         self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
         self.step_count = 0      # action selections, drives epsilon
         self.train_count = 0     # gradient steps, drives target syncs
-        self.optimizer = AdamOptimizer([self.online.flat], cfg.learning_rate,
-                                       self.online)
+        self.optimizer = AdamOptimizer([self.online.flat], cfg.learning_rate)
 
     def select_action(self, obs: np.ndarray) -> int:
         action = select_action(self.online, obs, self.schedule,

@@ -19,7 +19,7 @@ from .harness import (ALGORITHMS, ENV_VARIANTS, ROBUSTNESS_COLUMNS,
                       ExperimentSpec, build_problem, derived_seed,
                       format_cell, robustness_sweep, run_experiment,
                       write_manifest, write_rows)
-from .nets import CheckpointError, load_checkpoint
+from .nets import CheckpointError, model_from_checkpoint
 from . import __version__
 
 
@@ -67,16 +67,33 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _checkpoint_for(path: str, user_class: str, obs_dim: int,
-                    action_count: int):
-    """The network in `path`, which must take the scenario's `user_class`
-    observations and choose among its actions."""
-    model = load_checkpoint(path)
-    if (model.input_dim, model.action_count) != (obs_dim, action_count):
+def _checkpoint_for(path: str, env: JnsaEnv, fembb: bool):
+    """The network in `path`, which must take the observations of `env`'s
+    FeMBB (or eURLLC) agents over its stations and choose among their
+    actions. A checkpoint that records no station list observes every one."""
+    try:
+        data = json.loads(Path(path).read_text())
+        model = model_from_checkpoint(data)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:   # a CheckpointError, or no JSON at all
+        raise ConfigError(f"{path}: {exc}") from exc
+    config = data.get("config")
+    recorded = config.get("stations") if isinstance(config, dict) else None
+    if recorded is None:
+        recorded = list(range(env.state.n_bs))
+    if recorded != env.stations.tolist():
+        raise ConfigError(
+            f"{path}: the network observes stations {recorded}; this "
+            f"scenario's policies observe {env.stations.tolist()}")
+    user_class, dims = (
+        ("FeMBB", (env.fembb_obs_dim, env.fembb_action_count)) if fembb
+        else ("eURLLC", (env.eurllc_obs_dim, env.eurllc_action_count)))
+    if (model.input_dim, model.action_count) != dims:
         raise ConfigError(
             f"{path}: the network has {model.input_dim} inputs and "
             f"{model.action_count} actions; this scenario's {user_class} "
-            f"policy needs {obs_dim} and {action_count}")
+            f"policy needs {dims[0]} and {dims[1]}")
     return model
 
 
@@ -101,12 +118,9 @@ def cmd_evaluate(args) -> int:
                               "--checkpoint-fembb and --checkpoint-eurllc")
         env = JnsaEnv(state, objective_cfg)
         decider = {
-            "fembb_model": _checkpoint_for(
-                args.checkpoint_fembb, "FeMBB", env.fembb_obs_dim,
-                env.fembb_action_count),
-            "eurllc_model": _checkpoint_for(
-                args.checkpoint_eurllc, "eURLLC", env.eurllc_obs_dim,
-                env.eurllc_action_count)}
+            "fembb_model": _checkpoint_for(args.checkpoint_fembb, env, True),
+            "eurllc_model": _checkpoint_for(args.checkpoint_eurllc, env,
+                                            False)}
     rows = robustness_sweep(state, objective_cfg, args.perturbation,
                             args.values, noise_seeds=args.noise_seeds,
                             mobility_speed_mps=args.speed, **decider)

@@ -413,13 +413,26 @@ def objective(state: NetworkState, alloc: Allocation,
     return objective_breakdown(state, alloc, weights).value
 
 
+def reached_stations(state: NetworkState) -> np.ndarray:
+    """The RF station 0 and every station some user reaches, ascending."""
+    reached = state.reachable.any(axis=0)
+    reached[0] = True
+    return np.flatnonzero(reached)
+
+
 class JnsaEnv:
     """Sequential multi-agent environment over one NetworkState.
 
+    Observations and FeMBB actions range over the station list `stations`,
+    by default `reached_stations(state)`: a station no user reaches only
+    ever gives zero gains, zero occupancy and rejected actions. FeMBB action
+    a is station `stations[a // C]` on subchannel `a % C`. A caller that
+    applies a policy to another state passes the policy's list.
+
     The env keeps the occupancy and puncture grids of its committed
-    allocation and scores a step incrementally from the committed breakdown
-    (`_score` given `prev`); the public `objective_breakdown` stays the
-    reference.
+    allocation over every station and scores a step incrementally from the
+    committed breakdown (`_score` given `prev`); the public
+    `objective_breakdown` stays the reference.
 
     Single-writer: `step` mutates internal episode state and must be driven
     from one logical thread. Distinct instances are independent.
@@ -428,8 +441,9 @@ class JnsaEnv:
     def __init__(self, state: NetworkState,
                  objective_cfg: ScalarizedObjective | None = None,
                  conflict_penalty: float = 1.0, seed: int = 0,
-                 refresh_fading_on_reset: bool = True):
+                 refresh_fading_on_reset: bool = True, stations=None):
         self.state = state
+        self.stations = _station_list(state, stations)
         self.objective_cfg = objective_cfg or ScalarizedObjective.for_state(state)
         self.conflict_penalty = float(conflict_penalty)
         if not (math.isfinite(self.conflict_penalty)
@@ -442,16 +456,17 @@ class JnsaEnv:
         self.eurllc_ids = state.eurllc_users
         self._local_index = {u: f for f, u in enumerate(self.fembb_ids)}
         self._local_index.update({u: q for q, u in enumerate(self.eurllc_ids)})
-        self.fembb_action_count = state.n_bs * state.n_subchannels
+        bitmap = len(self.stations) * state.n_subchannels
+        self.fembb_action_count = bitmap
         self.eurllc_action_count = state.n_subchannels * state.n_minislots
-        bitmap = state.n_bs * state.n_subchannels
         self.fembb_obs_dim = 2 + 2 * bitmap
-        self.eurllc_obs_dim = 2 + 2 * bitmap + state.n_subchannels * state.n_minislots
+        self.eurllc_obs_dim = 2 + 2 * bitmap + self.eurllc_action_count
         self._order: list[int] = []
         self._cursor = 0
         self._clear_allocation()
-        self._norm_gains = np.zeros_like(state.gains)
-        self._stations = Stations(state)  # constants fixed for the env's life
+        self._norm_gains = np.zeros((state.n_users, len(self.stations),
+                                     state.n_subchannels))
+        self._table = Stations(state)  # constants fixed for the env's life
         self._breakdown: ObjectiveBreakdown | None = None  # set by reset
         self.conflict_penalty_total = 0.0
 
@@ -468,7 +483,7 @@ class JnsaEnv:
         self._order = order
         self._cursor = 0
         self._clear_allocation()
-        self._breakdown = _score(self._stations, self.objective_cfg,
+        self._breakdown = _score(self._table, self.objective_cfg,
                                  self._alloc, self.fembb_ids, self.eurllc_ids,
                                  self._occupied, self._punct)
         self.conflict_penalty_total = 0.0
@@ -525,19 +540,20 @@ class JnsaEnv:
 
     def _refresh_norm_gains(self):
         lo, hi = self.state.gain_log_bounds
-        g = self.state.gains
+        g = self.state.gains[:, self.stations]
         with np.errstate(divide="ignore"):
             logs = np.where(g > 0, np.log10(np.maximum(g, 1e-300)), lo)
         norm = np.clip((logs - lo) / (hi - lo), 0.0, 1.0)
-        norm *= self.state.reachable[:, :, None]
+        norm *= self.state.reachable[:, self.stations, None]
         self._norm_gains = norm
 
     def observe(self, user: int) -> np.ndarray:
         """Feature vector: class flag, QoS target level, candidate link gains
         (log min-max scaled, unreachable zeroed), FeMBB occupancy bitmap and,
-        for eURLLC agents, the mini-slot puncture bitmap. All in [0, 1]."""
+        for eURLLC agents, the mini-slot puncture bitmap. All in [0, 1]; gains
+        and occupancy over `stations`."""
         state = self.state
-        occ = self._occupied.astype(float).ravel()
+        occ = self._occupied.take(self.stations, axis=0).astype(float).ravel()
         gains = self._norm_gains[user].ravel()
         if self.user_class(user) is UserClass.FEMBB:
             margin = min(1.0, state.qos.fembb_min_rate_bps
@@ -572,6 +588,7 @@ class JnsaEnv:
                              f"{action} outside 0..{n_actions - 1}")
         if fembb:
             j, k = divmod(action, state.n_subchannels)
+            j = int(self.stations[j])
             entries = {"fembb_bs": j, "fembb_k": k}
             feasible = state.reachable[user, j] and not self._occupied[j, k]
         else:
@@ -595,7 +612,7 @@ class JnsaEnv:
             else:
                 punct = punct.copy()
                 punct[j, k] += 1
-            br = _score(self._stations, self.objective_cfg, candidate,
+            br = _score(self._table, self.objective_cfg, candidate,
                         self.fembb_ids, self.eurllc_ids, occupied, punct,
                         self._breakdown, j, k)
             accepted = ((br.fembb_ok[i] or not state.fembb_qos_enforced)
@@ -611,6 +628,19 @@ class JnsaEnv:
         next_obs = (np.zeros(0) if self.done
                     else self.observe(self._order[self._cursor]))
         return next_obs, reward, self.done
+
+
+def _station_list(state: NetworkState, stations) -> np.ndarray:
+    """`stations` checked against `state`, or the stations it reaches."""
+    if stations is None:
+        return reached_stations(state)
+    out = np.asarray(stations)
+    if not (out.ndim == 1 and out.size and out.dtype.kind in "iu"
+            and out[0] == 0 and (np.diff(out) > 0).all()
+            and out[-1] < state.n_bs):
+        raise ValueError(f"stations must be increasing station indices below "
+                         f"{state.n_bs} starting at 0, got {stations!r}")
+    return out.astype(int)
 
 
 # ---------------------------------------------------------------------------

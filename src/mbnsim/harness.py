@@ -36,7 +36,7 @@ from .agents import Algorithm, DqnTrainer, ExplorationSchedule, TrainerConfig
 from .baselines import check_instance_size, optimal_allocation
 from .config import ConfigError, ScenarioConfig, require_positive
 from .env import (Allocation, JnsaEnv, ScalarizedObjective, apply_mobility,
-                  objective_breakdown, perturb_csi)
+                  objective_breakdown, perturb_csi, reached_stations)
 from .nets import LEARNER_DTYPE, save_checkpoint
 from .scenario import (NetworkState, UserClass, generate_scenario,
                        make_sbn_scenario, make_sc_scenario)
@@ -298,7 +298,8 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
     policy (both models) re-decides greedily on the perturbed observations.
     CSI rows average over `noise_seeds` draws; mobility is deterministic and
     moves each user away from the station serving it in the allocation
-    decided on `state`.
+    decided on `state`. A policy observes and acts over the stations `state`
+    reaches on every perturbed state too, as moving users may leave some.
     """
     frozen = allocation is not None
     if frozen == (fembb_model is not None or eurllc_model is not None):
@@ -315,10 +316,13 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
     if not all(math.isfinite(value) for value in values):
         raise ValueError(f"sweep values must be finite, got {values!r}")
 
+    stations = reached_stations(state)
+
     def decide(s: NetworkState) -> Allocation:
         if frozen:
             return allocation
-        env = JnsaEnv(s, objective_cfg, seed=0, refresh_fading_on_reset=False)
+        env = JnsaEnv(s, objective_cfg, seed=0, refresh_fading_on_reset=False,
+                      stations=stations)
         return greedy_rollout(env, fembb_model, eurllc_model)[0]
 
     if perturbation == "mobility":
@@ -380,7 +384,7 @@ def _run_single(spec: ExperimentSpec, cfg: ScenarioConfig, run_id: str,
         if checkpoint_dir is not None:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
             echo = {"run_id": run_id, "algorithm": spec.algorithm,
-                    "config_hash": chash}
+                    "config_hash": chash, "stations": env.stations.tolist()}
             for role, trainer in (("fembb", trainer_f), ("eurllc", trainer_u)):
                 if trainer is not None:
                     save_checkpoint(trainer.online,

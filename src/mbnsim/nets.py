@@ -34,17 +34,6 @@ class _Network:
     `params` is the list of per-layer weight/bias views into it (w0, b0, w1,
     b1, ...). `grad` is the gradient buffer `backward` fills, laid out the
     same way and of the same type.
-    `live_inputs`, one bool per input feature, is the one row set of w0:
-    every forward with a cache or at least 2 rows adds the features its
-    batch feeds a non-zero value. While it holds at most half of the
-    inputs, near where row-wise Adam stops paying, that forward runs
-    x[:, rows] @ w0[rows] + b0, `backward` writes w0's gradient on those
-    rows only and `AdamOptimizer` updates only those rows of w0. Past half
-    it becomes None for good, as it is for a network with no hidden layer,
-    and every pass is dense; single uncached rows are always dense. At full
-    scale it held 13% of FeMBB's 842 and 21.5% of eURLLC's 982 inputs after
-    30 episodes, and 32% of eURLLC's after 2000 (ceiling about 34%).
-    Dropping zero terms may change a sum in its last bit.
     Subclasses share the ReLU trunk and give their (fan_in, fan_out) layers in
     `_layer_shapes` and their output head in `_head` and `_head_backward`."""
 
@@ -59,8 +48,6 @@ class _Network:
         self._bind(np.zeros(sum((fan_in + 1) * fan_out
                                 for fan_in, fan_out in self._layer_shapes()),
                             dtype=dtype))
-        self.live_inputs = (np.zeros(input_dim, dtype=bool)
-                            if self.hidden_sizes else None)
         for w in self.params[::2]:
             # He-style scaling for rectified-linear hiddens; biases stay 0.
             # The draws are float64 whatever the dtype, so the stream of
@@ -81,23 +68,14 @@ class _Network:
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
         self.params = self._views(flat)
-        # `backward` writes here, so a gradient step allocates no new vector;
-        # lazily zeroed, so w0's rows it never writes are +0 and not resident
+        # `backward` writes here, so a gradient step allocates no new vector
         self.grad = np.zeros(flat.shape, flat.dtype)
         self._grad_views = self._views(self.grad)
 
     def clone(self):
         new = copy.copy(self)
         new._bind(self.flat.copy())
-        if self.live_inputs is not None:
-            new.live_inputs = self.live_inputs.copy()
         return new
-
-    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A vector laid out like `flat` as two views: the first layer's
-        weight matrix, whose rows `live_inputs` describes, and the rest."""
-        first = self.params[0]
-        return vec[:first.size].reshape(first.shape), vec[first.size:]
 
     def load_params_from(self, other: "_Network") -> None:
         # in place: rebinding `flat` would cut the `params` views off from it
@@ -105,9 +83,8 @@ class _Network:
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
         """Q-values of an observation or batch; fills `cache` for `backward`.
-        The cache holds (h_in, z, rows) per hidden layer and then the last
-        hidden activation; `rows` are the rows of w0 a compacted first
-        layer read (its h_in holds those input columns only), else None."""
+        The cache holds (h_in, z) per hidden layer and then the last hidden
+        activation."""
         if x.ndim == 1:
             return self.forward(x[None, :], cache)[0]
         if x.shape[1] != self.input_dim:
@@ -116,19 +93,9 @@ class _Network:
         # every product with float32 weights back to float64
         h = x.astype(self.flat.dtype, copy=False)
         for layer in range(len(self.hidden_sizes)):
-            w, b = self.params[2 * layer], self.params[2 * layer + 1]
-            rows = None
-            if (layer == 0 and self.live_inputs is not None
-                    and (cache is not None or len(h) > 1)):
-                self.live_inputs |= h.any(axis=0)
-                rows = np.flatnonzero(self.live_inputs)
-                if 2 * rows.size > self.input_dim:
-                    self.live_inputs = rows = None   # dense for good
-                else:
-                    h, w = h[:, rows], w[rows]
-            z = h @ w + b
+            z = h @ self.params[2 * layer] + self.params[2 * layer + 1]
             if cache is not None:
-                cache.append((h, z, rows))
+                cache.append((h, z))
             h = np.maximum(z, 0.0)
         if cache is not None:
             cache.append(h)
@@ -136,18 +103,13 @@ class _Network:
 
     def backward(self, cache: list, dq: np.ndarray) -> np.ndarray:
         """Gradient of a scalar loss given dloss/dQ, laid out like `flat`.
-        Returns the network's own `grad` buffer: the next call overwrites it.
-        A compacted first layer writes only its rows of w0; given caches in
-        the order they were filled, the other rows were never written: +0."""
+        Returns the network's own `grad` buffer: the next call overwrites it."""
         views = self._grad_views
         grad = self._head_backward(cache[-1], dq, views)
         for layer in reversed(range(len(self.hidden_sizes))):
-            h_in, z, rows = cache[layer]
+            h_in, z = cache[layer]
             grad = grad * (z > 0.0)
-            if rows is None:
-                np.matmul(h_in.T, grad, out=views[2 * layer])
-            else:
-                views[0][rows] = h_in.T @ grad
+            np.matmul(h_in.T, grad, out=views[2 * layer])
             grad.sum(axis=0, out=views[2 * layer + 1])
             if layer > 0:
                 grad = grad @ self.params[2 * layer].T
@@ -235,73 +197,37 @@ class AdamOptimizer:
     Updates run in place through two scratch arrays per parameter array, in
     the same operations and order as p -= lr * (m / c1) / (sqrt(v / c2) + eps),
     so a step allocates nothing the size of the parameters and its results
-    are bit-identical to that expression.
-
-    Given the `network` whose `flat` is the only parameter array, a step
-    updates only the first-layer rows in its `live_inputs` set (see
-    `_Network`) and the rest of the vector (`_Network.split`) in full: the
-    other rows have had only +0 gradients, so the full update would leave
-    them and their +0 moments as they are. The set's rows are gathered into
-    a block scratch, updated by the same operations and scattered back."""
+    are bit-identical to that expression."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float,
-                 network: _Network | None = None):
-        if network is not None and (len(params) != 1
-                                    or params[0] is not network.flat):
-            raise ValueError("with a network, params must be [network.flat]")
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.lr = learning_rate
-        self.network = network
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
-        # six blocks of at most half of w0's rows; untouched pages cost no RSS
-        self._blocks = None if network is None else np.empty(
-            3 * network.params[0].size, network.flat.dtype)
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
         c1 = 1.0 - self.BETA1 ** self.t
         c2 = 1.0 - self.BETA2 ** self.t
-        live = None if self.network is None else self.network.live_inputs
         for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v,
                                       self._scratch):
-            if live is None:
-                self._update(p, g, m, v, a, b, c1, c2)
-            else:
-                first, rest = zip(*map(self.network.split,
-                                       (p, g, m, v, a, b)))
-                self._update_rows(np.flatnonzero(live), *first[:4], c1, c2)
-                self._update(*rest, c1, c2)
-
-    def _update(self, p, g, m, v, a, b, c1: float, c2: float) -> None:
-        m *= self.BETA1
-        np.multiply(1.0 - self.BETA1, g, out=a)
-        m += a
-        v *= self.BETA2
-        np.multiply(1.0 - self.BETA2, g, out=a)
-        a *= g                           # ((1-b2)*g)*g, not (1-b2)*(g*g)
-        v += a
-        np.divide(v, c2, out=a)
-        np.sqrt(a, out=a)
-        a += self.EPS
-        np.divide(m, c1, out=b)
-        np.multiply(self.lr, b, out=b)
-        b /= a
-        p -= b
-
-    def _update_rows(self, rows: np.ndarray, p, g, m, v,
-                     c1: float, c2: float) -> None:
-        """`_update` on the given rows of 2-d arrays only."""
-        shape = (6, rows.size, p.shape[1])
-        blocks = self._blocks[:math.prod(shape)].reshape(shape)
-        for full, part in zip((p, g, m, v), blocks):
-            # mode="raise" would buffer `out`; the rows are in range
-            np.take(full, rows, axis=0, out=part, mode="clip")
-        self._update(*blocks, c1, c2)
-        p[rows], m[rows], v[rows] = blocks[0], blocks[2], blocks[3]
+            m *= self.BETA1
+            np.multiply(1.0 - self.BETA1, g, out=a)
+            m += a
+            v *= self.BETA2
+            np.multiply(1.0 - self.BETA2, g, out=a)
+            a *= g                       # ((1-b2)*g)*g, not (1-b2)*(g*g)
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.EPS
+            np.divide(m, c1, out=b)
+            np.multiply(self.lr, b, out=b)
+            b /= a
+            p -= b
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,7 @@ def test_criterion_3_oracle_dominance():
     train_state = generate_scenario(cfg, seed=900)
     weights0 = ScalarizedObjective.for_state(train_state)
     env = JnsaEnv(train_state.copy(), weights0, seed=901)
+    train_stations = env.stations
     trainer_f, trainer_u, _ = train_policies(
         env, Algorithm.DUEL_DQN, 600, ACCEPT_TRAINER, seed=902,
         epsilon_decay_fraction=ACCEPT_DECAY_FRACTION)
@@ -250,8 +251,9 @@ def test_criterion_3_oracle_dominance():
         instances += 1
         if v_opt == v_en:
             enum_matches += 1
+        # the policy observes and acts over the training state's stations
         env = JnsaEnv(state, weights, seed=2000 + i,
-                      refresh_fading_on_reset=False)
+                      refresh_fading_on_reset=False, stations=train_stations)
         episode_values = []
         _, br = greedy_rollout(env, trainer_f.online, trainer_u.online)
         episode_values.append(br.value)

@@ -12,7 +12,7 @@ from mbnsim.config import ScenarioConfig
 from mbnsim.env import (Allocation, AllocationError, JnsaEnv,
                         ScalarizedObjective, Stations, apply_mobility,
                         objective, objective_breakdown, perturb_csi,
-                        resolve_eurllc_host)
+                        reached_stations, resolve_eurllc_host)
 from mbnsim.phy import Band, noise_power_w, rf_path_gain
 from mbnsim.scenario import (UserClass, _gain_log_bounds, compute_gain_tensor,
                              generate_scenario, make_sbn_scenario,
@@ -519,6 +519,76 @@ class TestEnvStep:
         env = JnsaEnv(state, seed=1)
         env.reset()
         assert env.done
+
+
+class TestStationList:
+    """Observations and FeMBB actions range over the RF station and the
+    stations some user reaches; a caller may pass another list."""
+
+    @pytest.mark.parametrize("transform", [
+        lambda s: s, make_sbn_scenario, make_sc_scenario],
+        ids=["mbn_reaching_all", "sbn", "sc"])
+    def test_full_reach_keeps_every_station_and_the_dims(self, transform):
+        state = transform(make_state(seed=42))
+        assert state.reachable.any(axis=0).all()
+        env = JnsaEnv(state)
+        c, m = state.n_subchannels, state.n_minislots
+        assert np.array_equal(env.stations, np.arange(state.n_bs))
+        assert env.fembb_action_count == state.n_bs * c
+        assert env.fembb_obs_dim == 2 + 2 * state.n_bs * c
+        assert env.eurllc_obs_dim == 2 + 2 * state.n_bs * c + c * m
+
+    def test_unreached_station_is_dropped(self):
+        # desk seed 41 reaches the RF station and station 2, not station 1
+        state = make_state(seed=41)
+        assert np.array_equal(reached_stations(state), [0, 2])
+        assert not state.reachable[:, 1].any()
+        env = JnsaEnv(state)
+        c = state.n_subchannels
+        assert np.array_equal(env.stations, [0, 2])
+        assert env.fembb_action_count == 2 * c
+        assert env.fembb_obs_dim == 2 + 2 * 2 * c
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dropped_station_plays_like_the_full_list(self, seed):
+        state = make_state(seed=41)
+        n_bs, c = state.n_bs, state.n_subchannels
+        short = JnsaEnv(state.copy(), seed=seed)
+        full = JnsaEnv(state.copy(), seed=seed, stations=np.arange(n_bs))
+        # the full observation's gain and occupancy columns of the kept
+        # stations, then its puncture bits
+        kept = np.zeros((2, n_bs, c), dtype=bool)
+        kept[:, short.stations] = True
+        columns = np.concatenate([[True, True], kept.ravel(),
+                                  np.ones(c * state.n_minislots, dtype=bool)])
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            obs = short.reset()
+            full_obs = full.reset()
+            while not short.done:
+                user = short.current_agent
+                assert full.current_agent == user
+                assert np.array_equal(obs, full_obs[columns[:len(full_obs)]])
+                action = int(rng.integers(short.action_count_for(user)))
+                mapped = action
+                if short.user_class(user) is UserClass.FEMBB:
+                    j, k = divmod(action, c)
+                    mapped = int(short.stations[j]) * c + k
+                obs, reward, done = short.step(action)
+                full_obs, full_reward, full_done = full.step(mapped)
+                assert (reward, done) == (full_reward, full_done)
+            assert (short.allocation.canonical_key()
+                    == full.allocation.canonical_key())
+            _assert_same_breakdown(short.breakdown, full.breakdown)
+
+    @pytest.mark.parametrize("stations", [
+        [1, 2], [0, 0, 2], [0, 2, 1], [0, 3], [], [[0, 1]], [0.0, 1.0],
+        [True, False], [0, -1]],
+        ids=["no_rf", "repeated", "decreasing", "past_n_bs", "empty",
+             "nested", "floats", "bools", "negative"])
+    def test_bad_station_list_rejected(self, stations):
+        with pytest.raises(ValueError, match="stations"):
+            JnsaEnv(make_state(seed=42), stations=stations)
 
 
 def _with_qos(transform, enforced):

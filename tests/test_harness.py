@@ -14,10 +14,12 @@ from mbnsim.agents import TrainerConfig
 from mbnsim.baselines import optimal_allocation
 from mbnsim.config import (ConfigError, ScenarioConfig, load_scenario_config,
                            save_scenario_config)
-from mbnsim.env import JnsaEnv, ScalarizedObjective, objective_breakdown
+from mbnsim.env import (JnsaEnv, ScalarizedObjective, apply_mobility,
+                        objective_breakdown, reached_stations)
 from mbnsim.harness import (ExperimentSpec, build_problem,
-                            convergence_metric, derived_seed, read_runs_csv,
-                            robustness_sweep, run_experiment, summarize)
+                            convergence_metric, derived_seed, greedy_rollout,
+                            read_runs_csv, robustness_sweep, run_experiment,
+                            summarize)
 from mbnsim.nets import QNetwork, checkpoint_dict, save_checkpoint
 from mbnsim.scenario import generate_scenario
 
@@ -299,6 +301,24 @@ class TestRobustnessSweep:
                                 allocation=alloc, noise_seeds=20)
         assert rows[0]["n"] == 20
         assert rows[0]["fembb_rate_bps_sem"] > 0.0
+
+    def test_policy_keeps_its_stations_when_every_thz_link_vanishes(self):
+        # a policy observes and acts over the stations of the unperturbed
+        # state; at 40 s of 2 m/s no user reaches a THz station any more
+        state, weights, _ = self._frozen_setup()
+        env = JnsaEnv(state.copy(), weights, refresh_fading_on_reset=False)
+        assert len(env.stations) > 1
+        rng = np.random.default_rng(0)
+        models = [QNetwork(dim, (8,), actions, rng) for dim, actions in (
+            (env.fembb_obs_dim, env.fembb_action_count),
+            (env.eurllc_obs_dim, env.eurllc_action_count))]
+        serving = greedy_rollout(env, *models)[0]
+        moved = apply_mobility(state, serving, 40.0, 2.0)
+        assert np.array_equal(reached_stations(moved), [0])
+        rows = robustness_sweep(state, weights, "mobility", [0.0, 40.0],
+                                fembb_model=models[0], eurllc_model=models[1])
+        assert [row["value"] for row in rows] == [0.0, 40.0]
+        assert all(math.isfinite(row["fembb_rate_bps_mean"]) for row in rows)
 
     def test_argument_validation(self):
         state, weights, alloc = self._frozen_setup()
@@ -615,7 +635,8 @@ class TestCli:
                        "--perturbation", "mobility", "--values", "0",
                        "--out", str(tmp_path / "eval")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: checkpoint lacks")
+        assert capsys.readouterr().err.startswith(
+            f"error: {ckpt}: checkpoint lacks")
 
 
     def test_checkpoint_not_an_object_exit_code(self, tmp_path, capsys):
@@ -628,7 +649,51 @@ class TestCli:
                        "--out", str(tmp_path / "eval")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {ckpt}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", None],
+                             ids=["not_json", "missing"])
+    def test_unreadable_checkpoint_named(self, tmp_path, capsys, text):
+        ckpt = tmp_path / "broken.json"
+        if text is not None:
+            ckpt.write_text(text)
+        rc = cli.main(["evaluate", "--config", str(self._write_cfg(tmp_path)),
+                       "--checkpoint-fembb", str(ckpt),
+                       "--checkpoint-eurllc", str(ckpt),
+                       "--perturbation", "mobility", "--values", "0",
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "eval").exists()
+
+    def test_checkpoint_of_other_stations_rejected(self, tmp_path, capsys):
+        # with 3 THz stations the scenario `evaluate --seed 1` draws reaches
+        # stations 0 and 1 of 4; a list of the same length, and so the same
+        # dims, that names another station is rejected
+        path = tmp_path / "scenario.yaml"
+        save_scenario_config(ScenarioConfig.desk_default().replace(
+            n_fembb=2, n_eurllc=2, subchannels_per_band=3,
+            minislots_per_subchannel=2, n_tbs=3), path)
+        assert cli.main(["train", "--config", str(path), "--algo", "dqn",
+                         "--episodes", "5", "--seed", "1",
+                         "--out", str(tmp_path / "train")]) == 0
+        ckpt = {role: tmp_path / f"train/checkpoints/run0000_{role}.json"
+                for role in ("fembb", "eurllc")}
+        data = json.loads(ckpt["eurllc"].read_text())
+        assert data["config"]["stations"] == [0, 1]
+        evaluate = ["evaluate", "--config", str(path),
+                    "--checkpoint-fembb", str(ckpt["fembb"]),
+                    "--checkpoint-eurllc", str(ckpt["eurllc"]),
+                    "--perturbation", "mobility", "--values", "0"]
+        assert cli.main([*evaluate, "--out", str(tmp_path / "ok")]) == 0
+        data["config"]["stations"] = [0, 2]
+        ckpt["eurllc"].write_text(json.dumps(data))
+        assert cli.main([*evaluate, "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt['eurllc']}: ")
+        assert "[0, 2]" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "eval").exists()
 
 
