@@ -175,11 +175,12 @@ class TestTdTargets:
         assert (ddqn <= dqn + 1e-12).all()
 
 
-def finite_difference_check(model, seed):
+def finite_difference_check(model, seed, batch=None):
     """Central finite differences against analytic gradients on the batch
-    mean-squared error to fixed targets."""
+    mean-squared error to fixed targets; `batch` defaults to 5 dense rows."""
     rng = np.random.default_rng(seed)
-    batch = rng.normal(size=(5, model.input_dim))
+    if batch is None:
+        batch = rng.normal(size=(5, model.input_dim))
     actions = rng.integers(model.action_count, size=5)
     targets = rng.normal(size=5)
 
@@ -560,6 +561,226 @@ class TestAdam:
         first = grad.copy()
         clone.backward(cache, 2.0 * np.ones((3, 4)))
         assert np.array_equal(model.grad, first)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: +0 and -0 differ, NaNs may match."""
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def reference_backward(model, cache: list, dq: np.ndarray) -> np.ndarray:
+    """Dense gradient laid out like `flat`: the head through the model's
+    own `_head_backward`, each trunk layer's weights as the allocating full
+    product h_in.T @ grad over its whole input."""
+    out = np.empty_like(model.flat)
+    views = model._views(out)
+    grad = model._head_backward(cache[-1], dq, views)
+    for layer in reversed(range(len(model.hidden_sizes))):
+        h_in, z = cache[layer]
+        grad = grad * (z > 0.0)
+        views[2 * layer][...] = h_in.T @ grad
+        views[2 * layer + 1][...] = grad.sum(axis=0)
+        grad = grad @ model.params[2 * layer].T
+    return out
+
+
+def dense_forward(model, x: np.ndarray, cache: list | None = None):
+    """The forward pass with every layer the full product over its input;
+    fills `cache` the way `forward` does."""
+    h = x.astype(model.flat.dtype)
+    for layer in range(len(model.hidden_sizes)):
+        z = h @ model.params[2 * layer] + model.params[2 * layer + 1]
+        if cache is not None:
+            cache.append((h, z))
+        h = np.maximum(z, 0.0)
+    if cache is not None:
+        cache.append(h)
+    return model._head(h)
+
+
+class TestCompactedFirstLayer:
+    """Observations are sparse: most input features of a batch are zero.
+    Nothing is compacted: the first layer's forward, gradient and Adam step
+    run over every input, and must match the dense textbook expressions bit
+    for bit. Rows of features that were never non-zero keep their initial
+    weights and zero moments."""
+
+    D, BATCH, ACTIONS, LR = 30, 5, 4, 1e-2
+    HIDDEN = {"plain": (8, 6), "dueling": (8, 6), "linear": ()}
+
+    def batch(self, rng, live: int, rows: int = BATCH):
+        """A batch whose `live` random columns are non-zero in every row,
+        and those columns in ascending order."""
+        cols = np.sort(rng.choice(self.D, size=live, replace=False))
+        x = np.zeros((rows, self.D))
+        x[:, cols] = rng.normal(size=(rows, live))
+        return x, cols
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["plain", "dueling", "linear"]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 10_000),
+           live_counts=st.lists(st.integers(0, 18), min_size=1, max_size=8))
+    # 0, 1 and 2 live columns; runs whose union passes half the inputs
+    @example(kind="dueling", dtype=np.float32, seed=0,
+             live_counts=[0, 1, 2, 2, 3])
+    @example(kind="plain", dtype=np.float64, seed=1,
+             live_counts=[2, 1, 0, 16, 1])
+    @example(kind="plain", dtype=np.float32, seed=3, live_counts=[15, 0, 16])
+    @example(kind="linear", dtype=np.float32, seed=2, live_counts=[1, 2, 16])
+    def test_steps_match_dense_reference_bit_for_bit(self, kind, dtype, seed,
+                                                     live_counts):
+        rng = np.random.default_rng(seed)
+        d, batch, actions = self.D, self.BATCH, self.ACTIONS
+        model = build_network("dueling" if kind == "dueling" else "plain", d,
+                              self.HIDDEN[kind], actions, rng, dtype)
+        ref = model.clone()
+        first = model.params[0].copy()
+        opt = AdamOptimizer([model.flat], self.LR)
+        ref_m, ref_v = [np.zeros_like(ref.flat)], [np.zeros_like(ref.flat)]
+        ever_live = np.zeros(d, dtype=bool)
+        for t, count in enumerate(live_counts, start=1):
+            x = np.zeros((batch, d))
+            cols = rng.choice(d, size=count, replace=False)
+            # sparse rows too; the first row keeps every chosen column live
+            x[:, cols] = rng.normal(size=(batch, count)) * (
+                rng.random((batch, count)) < 0.6)
+            x[0, cols] = rng.normal(size=count)
+            ever_live[cols] = True
+            acts = rng.integers(actions, size=batch)
+            targets = rng.normal(size=batch)
+            losses, grads = [], []
+            for net in (model, ref):
+                cache: list = []
+                q = (net.forward(x, cache) if net is model
+                     else dense_forward(ref, x, cache))
+                td_err = q[np.arange(batch), acts] - targets
+                losses.append(float(np.mean(td_err ** 2)))
+                dq = np.zeros_like(q)
+                dq[np.arange(batch), acts] = 2.0 * td_err / batch
+                grads.append(clip_gradients(
+                    model.backward(cache, dq) if net is model
+                    else reference_backward(ref, cache, dq), 1.0))
+            assert losses[0] == losses[1]
+            eps = np.finfo(dtype).eps
+            np.testing.assert_allclose(*grads, rtol=100 * eps, atol=100 * eps)
+            opt.step([model.flat], [grads[0]])
+            TestAdam.reference_step([ref.flat], [grads[0]], ref_m, ref_v, t,
+                                    self.LR)
+            assert same_bits(model.flat, ref.flat)
+            assert same_bits(opt.m[0], ref_m[0])
+            assert same_bits(opt.v[0], ref_v[0])
+        dead = ~ever_live
+        assert same_bits(model.params[0][dead], first[dead])
+        for moment in (opt.m[0], opt.v[0]):
+            assert not model._views(moment)[0][dead].any()
+
+    def test_network_optimizer_takes_only_its_flat_vector(self):
+        # one moment pair the size of the online network's `flat`, stepped
+        # with that vector itself, not a copy
+        cfg = TrainerConfig(batch_size=4, buffer_capacity=16,
+                            hidden_sizes=(8, 8))
+        trainer = DqnTrainer(Algorithm.DUEL_DQN, self.D, self.ACTIONS, cfg)
+        opt = trainer.optimizer
+        assert len(opt.m) == len(opt.v) == 1
+        for moment in (opt.m[0], opt.v[0]):
+            assert moment.shape == trainer.online.flat.shape
+            assert moment.dtype == trainer.online.flat.dtype
+        rng = np.random.default_rng(2)
+        for _ in range(4):
+            obs, next_obs = np.zeros((2, self.D))
+            obs[3], next_obs[5] = rng.normal(size=2)
+            trainer.push(obs, 1, 1.0, next_obs, False)
+        before = trainer.online.flat
+        snapshot = before.copy()
+        trainer.train_step()
+        assert trainer.online.flat is before
+        assert not np.array_equal(before, snapshot)
+
+    @pytest.mark.parametrize("variant", list(Algorithm))
+    def test_trainer_matches_dense_trainer(self, variant):
+        # the dense trainer's networks run the textbook full products
+        cfg = TrainerConfig(batch_size=4, buffer_capacity=64,
+                            target_sync_period=5, hidden_sizes=(8, 8))
+        sparse, dense = (DqnTrainer(variant, 30, 4, cfg, seed=9)
+                         for _ in range(2))
+        for net in (dense.online, dense.target):
+            net.forward = lambda x, cache=None, net=net: dense_forward(
+                net, x, cache)
+        dense.online.backward = lambda cache, dq: reference_backward(
+            dense.online, cache, dq)
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            obs, next_obs = np.zeros((2, 30))
+            obs[i % 7], next_obs[(i + 1) % 7] = rng.normal(size=2)
+            transition = (obs, int(rng.integers(4)), rng.normal(), next_obs,
+                          i % 5 == 4)
+            for trainer in (sparse, dense):
+                trainer.push(*transition)
+            if i >= 4:
+                assert sparse.train_step() == dense.train_step()
+        assert sparse.train_count == 36 and sparse.train_count % 5 == 1
+        assert same_bits(sparse.online.flat, dense.online.flat)
+        assert same_bits(sparse.target.flat, dense.target.flat)
+
+    @pytest.mark.parametrize("make", [small_plain, small_dueling])
+    @pytest.mark.parametrize("live", [11, 20, 30])
+    def test_denser_batches_take_the_full_product(self, make, live):
+        # after a dense batch, sparse and dense ones alike take the full
+        # product, and the cache holds the whole input
+        model = make(seed=4, dims=(self.D, (8, 6), self.ACTIONS))
+        rng = np.random.default_rng(live)
+        x, _ = self.batch(rng, live)
+        model.forward(x)
+        model.forward(self.batch(rng, 16)[0])
+        for x in (x, self.batch(rng, 1)[0]):
+            cache: list = []
+            assert same_bits(model.forward(x, cache), dense_forward(model, x))
+            assert same_bits(cache[0][0], x.astype(model.flat.dtype))
+
+    @pytest.mark.parametrize("make", [small_plain, small_dueling])
+    @pytest.mark.parametrize("live", [0, 1, 2, 10, 30])
+    def test_single_rows_take_the_full_product(self, make, live):
+        # action selection and greedy rollouts
+        model = make(seed=5, dims=(self.D, (8, 6), self.ACTIONS))
+        x, _ = self.batch(np.random.default_rng(live), live, rows=1)
+        want = dense_forward(model, x)[0]
+        assert same_bits(model.forward(x[0]), want)
+        assert same_bits(model.forward(x)[0], want)
+
+    @pytest.mark.parametrize("make", [small_plain, small_dueling])
+    @pytest.mark.parametrize("live", [0, 1, 2, 5, 10])
+    def test_gradient_matches_finite_differences(self, make, live):
+        model = make(seed=30 + live, dims=(self.D, (8, 6), self.ACTIONS),
+                     dtype=np.float64)
+        rng = np.random.default_rng(live)
+        # non-zero biases: with no live column, zero ones would put every
+        # first-layer unit on the ReLU's kink
+        for b in model.params[1::2]:
+            b[...] = rng.normal(scale=0.5, size=b.shape)
+        x, cols = self.batch(rng, live)
+        cache: list = []
+        model.forward(x, cache)
+        assert np.array_equal(np.flatnonzero(cache[0][0].any(axis=0)), cols)
+        assert finite_difference_check(model, seed=live, batch=x) < 1e-4
+
+    @pytest.mark.parametrize("make", [small_plain, small_dueling])
+    def test_other_rows_are_positive_zero(self, make):
+        # the first layer's gradient rows of features that are zero in the
+        # whole batch, so Adam leaves those weights exactly as they were
+        model = make(seed=6, dims=(self.D, (8, 6), self.ACTIONS))
+        rng = np.random.default_rng(6)
+        for live in (0, 1, 3, 5, 2, 1):
+            x, cols = self.batch(rng, live)
+            dead = np.ones(self.D, dtype=bool)
+            dead[cols] = False
+            cache: list = []
+            q = model.forward(x, cache)
+            first = model._views(model.backward(
+                cache, rng.normal(size=q.shape).astype(np.float32)))[0]
+            assert same_bits(first[dead], np.zeros_like(first[dead]))
+            assert np.isfinite(first).all()
 
 
 class TestCheckpoints:
