@@ -17,8 +17,8 @@ from .config import ConfigError, ScenarioConfig, load_scenario_config
 from .env import JnsaEnv
 from .harness import (ALGORITHMS, ENV_VARIANTS, ROBUSTNESS_COLUMNS,
                       ExperimentSpec, build_problem, derived_seed,
-                      format_cell, robustness_sweep, run_experiment,
-                      write_manifest, write_rows)
+                      format_cell, kept_user_counts, robustness_sweep,
+                      run_experiment, write_manifest, write_rows)
 from .nets import CheckpointError, model_from_checkpoint
 from . import __version__
 
@@ -107,20 +107,22 @@ def cmd_evaluate(args) -> int:
                                    or args.checkpoint_eurllc)
     if ignored:
         raise ConfigError(f"--use-oracle takes no checkpoint, got {ignored}")
+    counts = kept_user_counts(cfg, args.env_variant)
     state, objective_cfg = build_problem(cfg, args.env_variant,
                                          derived_seed(cfg.seed, args.seed, 0))
 
     if args.use_oracle:
         decider = {"allocation": optimal_allocation(state, objective_cfg)[0]}
     else:
-        if not (args.checkpoint_fembb and args.checkpoint_eurllc):
-            raise ConfigError("evaluate needs --use-oracle or both "
-                              "--checkpoint-fembb and --checkpoint-eurllc")
-        env = JnsaEnv(state, objective_cfg)
-        decider = {
-            "fembb_model": _checkpoint_for(args.checkpoint_fembb, env, True),
-            "eurllc_model": _checkpoint_for(args.checkpoint_eurllc, env,
-                                            False)}
+        env, decider = JnsaEnv(state, objective_cfg), {}
+        for cls, n_users in zip(("fembb", "eurllc"), counts):
+            path = getattr(args, f"checkpoint_{cls}")
+            if bool(path) != bool(n_users):
+                raise ConfigError(
+                    f"{path}: this scenario has no {cls} users" if path else
+                    f"evaluate needs --use-oracle or --checkpoint-{cls}")
+            if path:
+                decider[f"{cls}_model"] = _checkpoint_for(path, env, cls == "fembb")
     rows = robustness_sweep(state, objective_cfg, args.perturbation,
                             args.values, noise_seeds=args.noise_seeds,
                             mobility_speed_mps=args.speed, **decider)

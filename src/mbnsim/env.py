@@ -24,7 +24,6 @@ from .service import (FrameConfig, decoding_error_probability, punctured_rate,
 
 ALLOCATION_SCHEMA_VERSION = 1
 _UNASSIGNED_KEY = (1 << 30, 1 << 30, 1 << 30)
-_MAX_INDEX = int(np.iinfo(int).max)  # largest index the int arrays hold
 
 
 class AllocationError(ValueError):
@@ -124,47 +123,6 @@ class Allocation:
                           for k, m, h in zip(self.eurllc_k, self.eurllc_m,
                                              self.eurllc_host)],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Allocation":
-        if not isinstance(data, dict):
-            raise AllocationError(f"an allocation is a JSON object, not "
-                                  f"{type(data).__name__}")
-        if data.get("schema_version") != ALLOCATION_SCHEMA_VERSION:
-            raise AllocationError(
-                f"unsupported allocation schema: {data.get('schema_version')}")
-        counts = [data.get(key) for key in
-                  ("n_fembb", "n_eurllc", "n_subchannels", "n_minislots")]
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
-                   for n in counts):
-            raise AllocationError(f"allocation counts {counts!r} are not all "
-                                  "non-negative ints")
-        for key, n_users, width in (("fembb", counts[0], 2),
-                                    ("punctures", counts[1], 3)):
-            entries = data.get(key)
-            if not isinstance(entries, list) or len(entries) != n_users:
-                raise AllocationError(f"{key} must list one entry for each "
-                                      f"of {n_users} users")
-            for entry in entries:
-                if entry is None:
-                    continue
-                if not (isinstance(entry, list) and len(entry) == width
-                        and all(isinstance(i, int) and not isinstance(i, bool)
-                                for i in entry)):
-                    raise AllocationError(f"{key} entry {entry!r} is not null "
-                                          f"or a list of {width} ints")
-                if not 0 <= min(entry) <= max(entry) <= _MAX_INDEX:
-                    raise AllocationError(f"{key} holds an index outside 0.."
-                                          f"{_MAX_INDEX} (unassigned is null)")
-        alloc = cls(*counts)
-        for f, entry in enumerate(data["fembb"]):
-            if entry is not None:
-                alloc.fembb_bs[f], alloc.fembb_k[f] = entry
-        for q, entry in enumerate(data["punctures"]):
-            if entry is not None:
-                alloc.eurllc_k[q], alloc.eurllc_m[q], alloc.eurllc_host[q] = entry
-        alloc.validate()
-        return alloc
 
 
 def _outside_grid(n_bs: int, n_subchannels: int) -> AllocationError:
@@ -507,10 +465,6 @@ class JnsaEnv:
         return None if self.done else self._order[self._cursor]
 
     @property
-    def agent_order(self) -> list[int]:
-        return list(self._order)
-
-    @property
     def done(self) -> bool:
         return self._cursor >= len(self._order)
 
@@ -523,10 +477,6 @@ class JnsaEnv:
         """Breakdown of the committed allocation. An accepted step replaces
         it with a new object; none is ever mutated."""
         return self._breakdown
-
-    @property
-    def objective_value(self) -> float:
-        return self._breakdown.value
 
     def user_class(self, user: int) -> UserClass:
         return self.state.users[user].user_class

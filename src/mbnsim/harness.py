@@ -112,12 +112,7 @@ class ExperimentSpec:
             scenarios = [self.scenario.replace(**{self.sweep_param: value})
                          for value in self.sweep_values]
         for cfg in scenarios:
-            counts = (cfg.n_fembb, cfg.n_eurllc)
-            if self.env_variant in ("sc", "sc_noqos"):  # terrestrial only
-                counts = [n - cfg.aerial_count(n) for n in counts]
-            if sum(counts) < 1:
-                raise ConfigError(f"the {self.env_variant} variant keeps no "
-                                  f"users: it drops every aerial one")
+            counts = kept_user_counts(cfg, self.env_variant)
             if self.algorithm == "optimal":
                 check_instance_size(sum(counts), cfg.subchannels_per_band)
 
@@ -154,6 +149,17 @@ def derived_seed(*parts: int) -> int:
     """Deterministic child seed from integer parts (SeedSequence mixing)."""
     ss = np.random.SeedSequence(list(parts))
     return int(ss.generate_state(1)[0])
+
+
+def kept_user_counts(cfg: ScenarioConfig, variant: str) -> list[int]:
+    """The (FeMBB, eURLLC) user counts `variant` keeps; none is an error."""
+    counts = [cfg.n_fembb, cfg.n_eurllc]
+    if variant in ("sc", "sc_noqos"):  # terrestrial only
+        counts = [n - cfg.aerial_count(n) for n in counts]
+    if sum(counts) < 1:
+        raise ConfigError(f"the {variant} variant keeps no users: it drops "
+                          f"every aerial one")
+    return counts
 
 
 def build_problem(cfg: ScenarioConfig, variant: str, seed: int
@@ -295,7 +301,7 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
     """FeMBB total rate under CSI noise or mobility, one row per value.
 
     A frozen `allocation` is re-evaluated as-is on the perturbed state; a
-    policy (both models) re-decides greedily on the perturbed observations.
+    policy (its models) re-decides greedily on the perturbed observations.
     CSI rows average over `noise_seeds` draws; mobility is deterministic and
     moves each user away from the station serving it in the allocation
     decided on `state`. A policy observes and acts over the stations `state`

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,8 +27,6 @@ TERRESTRIAL_HEIGHT_M = 1.5
 AERIAL_HEIGHT_M = 50.0
 BS_HEIGHT_M = 1.5  # matches the terrestrial user plane
 MIN_LINK_DISTANCE_M = 1e-3
-
-STATE_SCHEMA_VERSION = 2
 
 
 class UserClass(Enum):
@@ -263,95 +261,3 @@ def make_sc_scenario(state: NetworkState,
     new.gain_log_bounds = _gain_log_bounds(new.gains, new.reachable)
     new.fembb_qos_enforced = qos_enforced
     return new
-
-
-# ---------------------------------------------------------------------------
-# JSON snapshot (schema documented in README)
-
-def state_to_json(state: NetworkState) -> dict:
-    def bs_dict(bs: BaseStation) -> dict:
-        return {"position": [float(v) for v in bs.position],
-                "max_power_w": bs.max_power_w,
-                "band": bs.band.value,
-                "coverage_radius_m": bs.coverage_radius_m}
-
-    frame = asdict(state.frame_rf)
-    del frame["subchannel_bandwidth_hz"]  # derived from the channel on load
-    rbs, *tbs_list = state.topology.stations
-    return {
-        "schema_version": STATE_SCHEMA_VERSION,
-        "channel": asdict(state.channel),
-        "frame": frame,
-        "qos": asdict(state.qos),
-        "topology": {
-            "cell_radius_m": state.topology.cell_radius_m,
-            "rbs": bs_dict(rbs),
-            "tbs_list": [bs_dict(b) for b in tbs_list],
-        },
-        "users": [{"user_class": u.user_class.value, "kind": u.kind.value,
-                   "position": [float(v) for v in u.position]}
-                  for u in state.users],
-        "gains": state.gains.tolist(),
-        "fading": state.fading.tolist(),
-        "reachable": state.reachable.tolist(),
-        "gain_log_bounds": list(state.gain_log_bounds),
-        "fembb_qos_enforced": state.fembb_qos_enforced,
-    }
-
-
-def _snapshot_array(data: dict, key: str, dtype, shape: tuple) -> np.ndarray:
-    """One array of a snapshot, which must have `shape`. An empty JSON list
-    carries no shape, so it takes `shape` when that holds no entries."""
-    arr = np.array(data[key], dtype=dtype)
-    if arr.size == 0 == math.prod(shape):
-        arr = arr.reshape(shape)
-    if arr.shape != shape:
-        raise ValueError(f"{key} has shape {arr.shape}, but the snapshot's "
-                         f"user, station and subchannel counts give {shape}")
-    return arr
-
-
-def state_from_json(data: dict) -> NetworkState:
-    """Load a snapshot; raises ValueError when its stations are not the RF
-    station then THz stations, or an array disagrees with the counts."""
-    if data.get("schema_version") != STATE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported state schema: {data.get('schema_version')}")
-
-    def bs_from(d: dict) -> BaseStation:
-        return BaseStation(position=np.array(d["position"], dtype=float),
-                           max_power_w=d["max_power_w"],
-                           band=Band(d["band"]),
-                           coverage_radius_m=d["coverage_radius_m"])
-
-    channel = ChannelParams(**data["channel"])
-    topo = data["topology"]
-    rbs, *tbs_list = [bs_from(d) for d in [topo["rbs"], *topo["tbs_list"]]]
-    if rbs.band is not Band.RF:
-        raise ValueError(f"topology.rbs must be an RF station, not "
-                         f"{rbs.band.value}")
-    if any(bs.band is not Band.THZ for bs in tbs_list):
-        raise ValueError("every topology.tbs_list entry must be a THz station")
-    topology = Topology(cell_radius_m=topo["cell_radius_m"],
-                        stations=[rbs, *tbs_list])
-    users = [UserProfile(user_class=UserClass(d["user_class"]),
-                         kind=UserKind(d["kind"]),
-                         position=np.array(d["position"], dtype=float))
-             for d in data["users"]]
-    n_users, n_bs = len(users), len(topology.stations)
-    c = channel.subchannels_per_band
-    frame = data["frame"]
-    return NetworkState(
-        channel=channel,
-        topology=topology,
-        users=users,
-        qos=QosTargets(**data["qos"]),
-        frame_rf=FrameConfig(subchannel_bandwidth_hz=channel.rf_subchannel_bandwidth_hz,
-                             **frame),
-        frame_thz=FrameConfig(subchannel_bandwidth_hz=channel.thz_subchannel_bandwidth_hz,
-                              **frame),
-        gains=_snapshot_array(data, "gains", float, (n_users, n_bs, c)),
-        fading=_snapshot_array(data, "fading", float, (n_users, c)),
-        reachable=_snapshot_array(data, "reachable", bool, (n_users, n_bs)),
-        gain_log_bounds=tuple(data["gain_log_bounds"]),
-        fembb_qos_enforced=data["fembb_qos_enforced"],
-    )

@@ -140,22 +140,6 @@ class TestSizeGuards:
         optimal_allocation(state, ScalarizedObjective.for_state(state))
         assert time.perf_counter() - t0 < 5.0
 
-    def test_oracle_on_json_snapshot_round_trip(self):
-        # the baselines accept the env's JSON state snapshot wholesale
-        import json
-        from mbnsim.scenario import state_from_json, state_to_json
-        state = desk_state(n_fembb=2, n_eurllc=2, subchannels_per_band=3,
-                           minislots_per_subchannel=2)
-        weights = ScalarizedObjective.for_state(state)
-        direct_alloc, direct_value = optimal_allocation(state, weights)
-        revived = state_from_json(json.loads(json.dumps(state_to_json(state))))
-        alloc, value = optimal_allocation(revived, weights)
-        assert value == direct_value
-        assert alloc.canonical_key() == direct_alloc.canonical_key()
-        # and the chosen allocation round-trips through its JSON shape
-        again = Allocation.from_json(json.loads(json.dumps(alloc.to_json())))
-        assert again.canonical_key() == alloc.canonical_key()
-
 
 class TestSbnTransform:
     def test_single_station_remains(self):

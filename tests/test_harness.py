@@ -389,8 +389,20 @@ class TestCli:
                        "--out", str(tmp_path / "out")])
         assert rc == 0
         allocs = list((tmp_path / "out/allocations").glob("*.json"))
-        assert len(allocs) == 1
-        json.loads(allocs[0].read_text())
+        assert [p.name for p in allocs] == ["run0000.json"]
+        doc = json.loads(allocs[0].read_text())
+        assert {k: doc[k] for k in ("schema_version", "n_fembb", "n_eurllc",
+                                    "n_subchannels", "n_minislots")} == {
+            "schema_version": 1, "n_fembb": 2, "n_eurllc": 2,
+            "n_subchannels": 3, "n_minislots": 2}
+        assert len(doc["fembb"]) == 2 and len(doc["punctures"]) == 2
+        n_bs = 1 + load_scenario_config(cfg).n_tbs
+        for entry in doc["fembb"]:
+            assert entry is None or (0 <= entry[0] < n_bs
+                                     and 0 <= entry[1] < 3)
+        for entry in doc["punctures"]:
+            assert entry is None or (0 <= entry[0] < 3 and 0 <= entry[1] < 2
+                                     and 0 <= entry[2] < n_bs)
 
     def test_evaluate_oracle_smoke(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
@@ -426,6 +438,33 @@ class TestCli:
         with open(tmp_path / "eval/robustness.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("present, absent", [("fembb", "eurllc"),
+                                                 ("eurllc", "fembb")])
+    def test_evaluate_single_class_policy(self, tmp_path, capsys, present,
+                                          absent):
+        # one class's users train one network, and evaluate takes it alone
+        path = tmp_path / "scenario.yaml"
+        save_scenario_config(ScenarioConfig.desk_default().replace(
+            **{f"n_{present}": 2, f"n_{absent}": 0}, subchannels_per_band=3,
+            minislots_per_subchannel=2), path)
+        assert cli.main(["train", "--config", str(path), "--algo", "dqn",
+                         "--episodes", "30", "--seed", "1",
+                         "--out", str(tmp_path / "train")]) == 0
+        ckpt = tmp_path / f"train/checkpoints/run0000_{present}.json"
+        assert list(ckpt.parent.iterdir()) == [ckpt]
+        evaluate = [*EVALUATE_MOBILITY, "--config", str(path),
+                    f"--checkpoint-{present}", str(ckpt)]
+        assert cli.main([*evaluate, "--out", str(tmp_path / "eval")]) == 0
+        with open(tmp_path / "eval/robustness.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 1
+        # a checkpoint for the class without users is rejected, not ignored
+        rc = cli.main([*evaluate, f"--checkpoint-{absent}", str(ckpt),
+                       "--out", str(tmp_path / "extra")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: this scenario has no {absent} users\n")
+        assert not (tmp_path / "extra").exists()
 
     def test_evaluate_scores_the_training_network(self, tmp_path):
         path = self._write_cfg(tmp_path)
@@ -483,6 +522,10 @@ class TestCli:
         ("n_fembb: 0\nn_eurllc: 2\naerial_fraction: 1.0\n",
          ["train", "--env-variant", "sc", "--algo", "dqn", "--seed", "1",
           "--episodes", "5"]),
+        ("n_fembb: 1\nn_eurllc: 1\naerial_fraction: 1.0\n"
+         "subchannels_per_band: 4\n",
+         ["evaluate", "--env-variant", "sc", "--use-oracle",
+          "--perturbation", "csi", "--values", "1"]),
         ("", ["oracle", "--seed", "1", "-1"]),
         ("", ["oracle", "--seed", "1", "1"]),
         ("", ["train", "--algo", "dqn", "--seed", "1", "--episodes", "0"]),
@@ -503,6 +546,8 @@ class TestCli:
               "--checkpoint-eurllc", "{ckpt}/eurllc.json"]),
         ("", [*EVALUATE_MOBILITY, "--checkpoint-fembb", "{ckpt}/eurllc.json",
               "--checkpoint-eurllc", "{ckpt}/fembb.json"]),
+        # every class with users needs its checkpoint
+        ("", [*EVALUATE_MOBILITY, "--checkpoint-eurllc", "{ckpt}/eurllc.json"]),
         # the oracle decides alone; a checkpoint beside it would be ignored
         ("", [*EVALUATE_MOBILITY, "--use-oracle",
               "--checkpoint-fembb", "{ckpt}/fembb.json"]),
@@ -511,11 +556,12 @@ class TestCli:
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
             "zero_minislots_sweep_value", "repeated_sweep_value", "no_users",
             "sc_all_aerial", "sc_all_aerial_eurllc_only",
-            "negative_seed", "repeated_seed",
+            "evaluate_sc_all_aerial", "negative_seed", "repeated_seed",
             "zero_episodes", "oracle_too_many_users",
             "oracle_too_many_subchannels", "optimal_sweep_too_many_users",
             "sc_oracle_too_many_terrestrial_users",
             "evaluate_too_many_actions", "evaluate_swapped_roles",
+            "evaluate_without_fembb_checkpoint",
             "evaluate_oracle_with_checkpoint", "evaluate_negative_seed"])
     def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):
         path = tmp_path / "cfg.yaml"

@@ -1,6 +1,5 @@
-"""Scenario generation, determinism, and JSON snapshot round-trips."""
-
-import json
+"""Scenario generation, determinism, fading refresh and the ablation
+transforms."""
 
 import numpy as np
 import pytest
@@ -10,11 +9,26 @@ from mbnsim.phy import Band
 from mbnsim.scenario import (AERIAL_HEIGHT_M, TERRESTRIAL_HEIGHT_M, UserClass,
                              UserKind, compute_gain_tensor, generate_scenario,
                              make_sbn_scenario, make_sc_scenario,
-                             refresh_fading, state_from_json, state_to_json)
+                             refresh_fading)
 
 
 def desk_cfg(**overrides) -> ScenarioConfig:
     return ScenarioConfig.desk_default().replace(**overrides)
+
+
+def state_fields(state) -> dict:
+    """Every field of a state a transform could alter, as plain values."""
+    return {
+        "gains": state.gains.tolist(),
+        "fading": state.fading.tolist(),
+        "reachable": state.reachable.tolist(),
+        "stations": [(s.position.tolist(), s.band, s.max_power_w,
+                      s.coverage_radius_m) for s in state.topology.stations],
+        "users": [(u.position.tolist(), u.user_class, u.kind)
+                  for u in state.users],
+        "gain_log_bounds": state.gain_log_bounds,
+        "fembb_qos_enforced": state.fembb_qos_enforced,
+    }
 
 
 class TestGeneration:
@@ -100,6 +114,14 @@ class TestGeneration:
         assert np.isfinite(state.gains).all()
 
 
+    def test_copy_is_deep_enough(self):
+        state = generate_scenario(desk_cfg(), seed=47)
+        clone = state.copy()
+        clone.gains[0, 0, 0] = 123.0
+        clone.users[0].position[0] = 999.0
+        assert state.gains[0, 0, 0] != 123.0
+        assert state.users[0].position[0] != 999.0
+
 class TestFadingRefresh:
     def test_refresh_changes_rf_only(self):
         state = generate_scenario(desk_cfg(), seed=31)
@@ -125,119 +147,6 @@ class TestFadingRefresh:
         assert draws.var() == pytest.approx(1.0, abs=0.15)
 
 
-class TestJsonSnapshot:
-    def test_round_trip_exact(self):
-        state = generate_scenario(desk_cfg(), seed=41)
-        data = json.loads(json.dumps(state_to_json(state)))
-        back = state_from_json(data)
-        assert np.array_equal(back.gains, state.gains)
-        assert np.array_equal(back.fading, state.fading)
-        assert np.array_equal(back.reachable, state.reachable)
-        assert back.gain_log_bounds == state.gain_log_bounds
-        assert back.qos == state.qos
-        assert back.channel == state.channel
-        assert back.frame_rf == state.frame_rf
-        assert back.frame_thz == state.frame_thz
-        assert [u.position.tolist() for u in back.users] == \
-            [u.position.tolist() for u in state.users]
-
-    def test_topology_layout_is_rbs_then_tbs_list(self):
-        state = generate_scenario(desk_cfg(), seed=41)
-        topo = state_to_json(state)["topology"]
-        assert set(topo) == {"cell_radius_m", "rbs", "tbs_list"}
-        assert topo["rbs"]["band"] == Band.RF.value
-        assert [t["band"] for t in topo["tbs_list"]] == [Band.THZ.value] * 2
-
-    def test_round_trip_keeps_station_order(self):
-        state = generate_scenario(desk_cfg(n_tbs=5), seed=41)
-        back = state_from_json(json.loads(json.dumps(state_to_json(state))))
-        assert [(s.position.tolist(), s.band, s.max_power_w,
-                 s.coverage_radius_m) for s in back.topology.stations] == \
-            [(s.position.tolist(), s.band, s.max_power_w, s.coverage_radius_m)
-             for s in state.topology.stations]
-
-    @pytest.mark.parametrize("make", [
-        lambda: generate_scenario(desk_cfg(), seed=41),
-        lambda: generate_scenario(desk_cfg(n_tbs=0), seed=41),
-        # the single-cell transform keeps no user of an all-aerial scenario
-        lambda: make_sc_scenario(generate_scenario(
-            desk_cfg(n_fembb=1, n_eurllc=1, aerial_fraction=1.0), seed=41)),
-    ], ids=["desk", "rf_only", "no_users"])
-    def test_round_trip_is_byte_identical(self, make):
-        text = json.dumps(state_to_json(make()))
-        back = state_from_json(json.loads(text))
-        assert back.gains.shape == (back.n_users, back.n_bs,
-                                    back.n_subchannels)
-        assert json.dumps(state_to_json(back)) == text
-
-    def test_thz_rbs_rejected(self):
-        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
-        topo = data["topology"]
-        topo["rbs"], topo["tbs_list"][0] = topo["tbs_list"][0], topo["rbs"]
-        with pytest.raises(ValueError, match="rbs must be an RF station"):
-            state_from_json(data)
-
-    def test_rf_station_in_tbs_list_rejected(self):
-        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
-        data["topology"]["tbs_list"][1] = data["topology"]["rbs"]
-        with pytest.raises(ValueError, match="THz station"):
-            state_from_json(data)
-
-    def test_station_count_must_match_gains(self):
-        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
-        data["topology"]["tbs_list"] = []  # gains still hold 3 stations
-        with pytest.raises(ValueError, match="gains has shape"):
-            state_from_json(data)
-
-    @pytest.mark.parametrize("key, cut", [
-        ("gains", lambda a: a[:-1]),                      # one user short
-        ("gains", lambda a: [[row[:-1] for row in u] for u in a]),
-        ("reachable", lambda a: [row[:-1] for row in a]),  # one station short
-        ("fading", lambda a: [row + [1.0] for row in a]),  # extra subchannel
-    ], ids=["gains_users", "gains_subchannels", "reachable_stations",
-            "fading_subchannels"])
-    def test_array_shape_mismatch_rejected(self, key, cut):
-        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
-        data[key] = cut(data[key])
-        with pytest.raises(ValueError, match=f"{key} has shape"):
-            state_from_json(data)
-
-    def test_schema_2_keys(self):
-        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
-        assert data["schema_version"] == 2
-        assert set(data) == {"schema_version", "channel", "frame", "qos",
-                             "topology", "users", "gains", "fading",
-                             "reachable", "gain_log_bounds",
-                             "fembb_qos_enforced"}
-        assert set(data["users"][0]) == {"user_class", "kind", "position"}
-        assert "speed_of_light" not in data["channel"]
-
-    def test_schema_1_rejected(self):
-        # a schema-1 document: version 1 and the keys schema 2 dropped
-        data = state_to_json(generate_scenario(desk_cfg(), seed=41))
-        data.update(schema_version=1, seed=41, serving_bs=None)
-        data["channel"]["speed_of_light"] = 299_792_458.0
-        for i, user in enumerate(data["users"]):
-            user.update(id=i, velocity_mps=0.0)
-        with pytest.raises(ValueError, match="unsupported state schema: 1"):
-            state_from_json(data)
-
-    def test_unknown_schema_rejected(self):
-        state = generate_scenario(desk_cfg(), seed=43)
-        data = state_to_json(state)
-        data["schema_version"] = 99
-        with pytest.raises(ValueError):
-            state_from_json(data)
-
-    def test_copy_is_deep_enough(self):
-        state = generate_scenario(desk_cfg(), seed=47)
-        clone = state.copy()
-        clone.gains[0, 0, 0] = 123.0
-        clone.users[0].position[0] = 999.0
-        assert state.gains[0, 0, 0] != 123.0
-        assert state.users[0].position[0] != 999.0
-
-
 class TestAblationTransforms:
     @pytest.mark.parametrize("transform", [
         make_sbn_scenario, make_sc_scenario,
@@ -257,9 +166,9 @@ class TestAblationTransforms:
                              ids=["sbn", "sc"])
     def test_source_state_unchanged(self, transform):
         state = generate_scenario(desk_cfg(), seed=53)
-        before = state_to_json(state)
+        before = state_fields(state)
         stations, users = state.topology.stations, state.users
         transform(state)
         assert state.topology.stations is stations and state.users is users
         assert len(stations) == 3
-        assert state_to_json(state) == before
+        assert state_fields(state) == before
