@@ -140,6 +140,27 @@ class TestSizeGuards:
         optimal_allocation(state, ScalarizedObjective.for_state(state))
         assert time.perf_counter() - t0 < 5.0
 
+    def test_oracle_on_json_snapshot_round_trip(self):
+        # a scenario is kept as its config and seed; the oracle solves the
+        # state drawn again from that JSON record exactly as the original
+        import json
+        cfg = ScenarioConfig.desk_default().replace(
+            n_fembb=2, n_eurllc=2, subchannels_per_band=3,
+            minislots_per_subchannel=2)
+        state = generate_scenario(cfg, seed=42)
+        weights = ScalarizedObjective.for_state(state)
+        direct_alloc, direct_value = optimal_allocation(state, weights)
+        record = json.loads(json.dumps({"scenario": cfg.to_dict(),
+                                        "seed": 42}))
+        revived = generate_scenario(ScenarioConfig(**record["scenario"]),
+                                    seed=record["seed"])
+        alloc, value = optimal_allocation(revived, weights)
+        assert value == direct_value
+        assert alloc.canonical_key() == direct_alloc.canonical_key()
+        # and the chosen allocation's document survives JSON text
+        doc = alloc.to_json()
+        assert json.loads(json.dumps(doc)) == doc
+
 
 class TestSbnTransform:
     def test_single_station_remains(self):

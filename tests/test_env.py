@@ -1,6 +1,7 @@
 """Environment semantics: allocation invariants, objective accounting,
 step rewards, host resolution, CSI noise, and mobility."""
 
+import json
 import math
 
 import numpy as np
@@ -68,15 +69,18 @@ class TestAllocation:
         with pytest.raises(AllocationError):
             alloc.validate()
 
-    def test_to_json_document(self):
+    def test_json_round_trip(self):
+        # the document the oracle writes, and what a reader gets back
         alloc = Allocation(2, 2, 4, 3)
         alloc.fembb_bs[0], alloc.fembb_k[0] = 1, 3
         alloc.eurllc_k[1], alloc.eurllc_m[1] = 2, 0
         alloc.eurllc_host[1] = 0
-        assert alloc.to_json() == {
+        doc = alloc.to_json()
+        assert doc == {
             "schema_version": 1, "n_fembb": 2, "n_eurllc": 2,
             "n_subchannels": 4, "n_minislots": 3,
             "fembb": [[1, 3], None], "punctures": [None, [2, 0, 0]]}
+        assert json.loads(json.dumps(doc)) == doc
 
     @pytest.mark.parametrize("fembb, puncture", [
         ((9, 0), None),

@@ -1,5 +1,7 @@
 """Scenario generation, determinism, fading refresh and the ablation
-transforms."""
+transforms, and redrawing a scenario from its JSON record."""
+
+import json
 
 import numpy as np
 import pytest
@@ -114,6 +116,58 @@ class TestGeneration:
         assert np.isfinite(state.gains).all()
 
 
+class TestJsonSnapshot:
+    """A run's scenario is kept as JSON only as its config and seed (the
+    manifest's spec); drawing again from that record gives the same state."""
+
+    @staticmethod
+    def redraw(cfg: ScenarioConfig, seed: int):
+        text = json.dumps({"scenario": cfg.to_dict(), "seed": seed})
+        record = json.loads(text)
+        back = ScenarioConfig(**record["scenario"])
+        assert json.dumps({"scenario": back.to_dict(),
+                           "seed": record["seed"]}) == text
+        return generate_scenario(back, seed=record["seed"])
+
+    def test_round_trip_exact(self):
+        state = generate_scenario(desk_cfg(), seed=41)
+        back = self.redraw(desk_cfg(), 41)
+        assert np.array_equal(back.gains, state.gains)
+        assert np.array_equal(back.fading, state.fading)
+        assert np.array_equal(back.reachable, state.reachable)
+        assert back.gain_log_bounds == state.gain_log_bounds
+        assert back.qos == state.qos
+        assert back.channel == state.channel
+        assert back.frame_rf == state.frame_rf
+        assert back.frame_thz == state.frame_thz
+        assert [u.position.tolist() for u in back.users] == \
+            [u.position.tolist() for u in state.users]
+
+    def test_round_trip_keeps_station_order(self):
+        state = generate_scenario(desk_cfg(n_tbs=5), seed=41)
+        back = self.redraw(desk_cfg(n_tbs=5), 41)
+        assert [(s.position.tolist(), s.band, s.max_power_w,
+                 s.coverage_radius_m) for s in back.topology.stations] == \
+            [(s.position.tolist(), s.band, s.max_power_w, s.coverage_radius_m)
+             for s in state.topology.stations]
+
+    @pytest.mark.parametrize("cfg, transform", [
+        (desk_cfg(), lambda s: s),
+        (desk_cfg(n_tbs=0), lambda s: s),
+        # the single-cell transform keeps no user of an all-aerial scenario
+        (desk_cfg(n_fembb=1, n_eurllc=1, aerial_fraction=1.0),
+         make_sc_scenario),
+    ], ids=["desk", "rf_only", "no_users"])
+    def test_round_trip_is_byte_identical(self, cfg, transform):
+        state = transform(generate_scenario(cfg, seed=41))
+        back = transform(self.redraw(cfg, 41))
+        assert back.gains.shape == (back.n_users, back.n_bs,
+                                    back.n_subchannels)
+        for name in ("gains", "fading", "reachable"):
+            assert getattr(back, name).tobytes() == \
+                getattr(state, name).tobytes()
+        assert state_fields(back) == state_fields(state)
+
     def test_copy_is_deep_enough(self):
         state = generate_scenario(desk_cfg(), seed=47)
         clone = state.copy()
@@ -121,6 +175,7 @@ class TestGeneration:
         clone.users[0].position[0] = 999.0
         assert state.gains[0, 0, 0] != 123.0
         assert state.users[0].position[0] != 999.0
+
 
 class TestFadingRefresh:
     def test_refresh_changes_rf_only(self):
