@@ -118,32 +118,20 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
+    def _build(self, cls, **extra):
+        """A `cls` filled from the config fields of the same name + `extra`."""
+        return cls(**{name: getattr(self, name) for name in _SHARED[cls]},
+                   **extra)
+
     def channel_params(self) -> ChannelParams:
-        return ChannelParams(
-            rf_carrier_hz=self.rf_carrier_hz,
-            thz_center_hz=self.thz_center_hz,
-            rf_pathloss_exponent=self.rf_pathloss_exponent,
-            absorption_coeff_per_m=self.absorption_coeff_per_m,
-            rf_total_bandwidth_hz=self.rf_total_bandwidth_hz,
-            thz_total_bandwidth_hz=self.thz_total_bandwidth_hz,
-            subchannels_per_band=self.subchannels_per_band,
-            noise_density_dbm_per_hz=self.noise_density_dbm_per_hz,
-        )
+        return self._build(ChannelParams)
 
     def frame_for_bandwidth(self, subchannel_bandwidth_hz: float) -> FrameConfig:
-        return FrameConfig(
-            blocklength_symbols=self.blocklength_symbols,
-            bits_per_block=self.bits_per_block,
-            block_duration_s=self.block_duration_s,
-            minislots_per_subchannel=self.minislots_per_subchannel,
-            subchannel_bandwidth_hz=subchannel_bandwidth_hz,
-        )
+        return self._build(FrameConfig,
+                           subchannel_bandwidth_hz=subchannel_bandwidth_hz)
 
     def qos_targets(self) -> QosTargets:
-        return QosTargets(
-            fembb_min_rate_bps=self.fembb_min_rate_bps,
-            eurllc_max_error=self.eurllc_max_error,
-        )
+        return self._build(QosTargets)
 
     def aerial_count(self, count: int) -> int:
         """How many of one class's `count` users are aerial."""
@@ -179,6 +167,10 @@ class ScenarioConfig:
 # field name -> whether the field holds a count or seed (an int)
 _FIELD_IS_INT = {f.name: isinstance(f.default, int)
                  for f in dataclasses.fields(ScenarioConfig)}
+# built class -> the names of its fields that are config fields too
+_SHARED = {cls: [f.name for f in dataclasses.fields(cls)
+                 if f.name in _FIELD_IS_INT]
+           for cls in (ChannelParams, FrameConfig, QosTargets)}
 
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:

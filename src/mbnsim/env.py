@@ -221,7 +221,7 @@ class Stations:
     __slots__ = ("state", "band", "power", "noise", "frame")
 
     def __init__(self, state: NetworkState):
-        stations, c = state.topology.stations, state.n_subchannels
+        stations, c = state.stations, state.n_subchannels
         rf, thz = state.frame_rf, state.frame_thz
         noise_rf, noise_thz = (
             noise_power_w(state.channel, frame.subchannel_bandwidth_hz)
@@ -637,7 +637,7 @@ def apply_mobility(state: NetworkState, alloc: Allocation, elapsed_s: float,
     serving = np.zeros(state.n_users, dtype=int)
     serving[fembb] = np.maximum(alloc.fembb_bs, 0)
     serving[eurllc] = np.maximum(alloc.eurllc_host, 0)
-    stations = new.topology.stations
+    stations = new.stations
     for user, j in zip(new.users, serving.tolist()):
         anchor = stations[j].position
         direction = user.position - anchor
@@ -646,6 +646,6 @@ def apply_mobility(state: NetworkState, alloc: Allocation, elapsed_s: float,
             direction = np.array([1.0, 0.0, 0.0])
             norm = 1.0
         user.position = user.position + direction * (shift / norm)
-    new.gains, new.reachable = compute_gain_tensor(new.channel, new.topology,
+    new.gains, new.reachable = compute_gain_tensor(new.channel, stations,
                                                    new.users, new.fading)
     return new

@@ -45,8 +45,10 @@ class _Network:
         self.input_dim = input_dim
         self.hidden_sizes = tuple(hidden_sizes)
         self.action_count = action_count
+        self._layers = self._layer_shapes(input_dim, self.hidden_sizes,
+                                          action_count)
         self._bind(np.zeros(sum((fan_in + 1) * fan_out
-                                for fan_in, fan_out in self._layer_shapes()),
+                                for fan_in, fan_out in self._layers),
                             dtype=dtype))
         for w in self.params[::2]:
             # He-style scaling for rectified-linear hiddens; biases stay 0.
@@ -57,7 +59,7 @@ class _Network:
     def _views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Per-layer weight/bias views into a vector laid out like `flat`."""
         views, offset = [], 0
-        for fan_in, fan_out in self._layer_shapes():
+        for fan_in, fan_out in self._layers:
             views.append(vec[offset:offset + fan_in * fan_out]
                          .reshape(fan_in, fan_out))
             offset += fan_in * fan_out
@@ -121,8 +123,10 @@ class QNetwork(_Network):
 
     kind = "plain"
 
-    def _layer_shapes(self) -> list[tuple[int, int]]:
-        sizes = [self.input_dim, *self.hidden_sizes, self.action_count]
+    @staticmethod
+    def _layer_shapes(input_dim, hidden_sizes,
+                      action_count) -> list[tuple[int, int]]:
+        sizes = [input_dim, *hidden_sizes, action_count]
         return list(zip(sizes[:-1], sizes[1:]))
 
     def _head(self, h: np.ndarray) -> np.ndarray:
@@ -143,12 +147,14 @@ class DuelingQNetwork(_Network):
 
     kind = "dueling"
 
-    def _layer_shapes(self) -> list[tuple[int, int]]:
-        if not self.hidden_sizes:
+    @staticmethod
+    def _layer_shapes(input_dim, hidden_sizes,
+                      action_count) -> list[tuple[int, int]]:
+        if not hidden_sizes:
             raise ValueError("dueling head needs >= 1 hidden size")
-        sizes = [self.input_dim, *self.hidden_sizes]
+        sizes = [input_dim, *hidden_sizes]
         return [*zip(sizes[:-1], sizes[1:]), (sizes[-1], 1),
-                (sizes[-1], self.action_count)]
+                (sizes[-1], action_count)]
 
     def _head(self, h: np.ndarray) -> np.ndarray:
         wv, bv, wa, ba = self.params[-4:]
@@ -168,12 +174,17 @@ class DuelingQNetwork(_Network):
         return dv @ wv.T + da @ wa.T
 
 
-def build_network(kind: str, input_dim: int, hidden_sizes, action_count: int,
-                  rng: np.random.Generator, dtype=LEARNER_DTYPE):
+def _network_class(kind: str):
     cls = {"plain": QNetwork, "dueling": DuelingQNetwork}.get(kind)
     if cls is None:
         raise ValueError(f"unknown network kind: {kind}")
-    return cls(input_dim, tuple(hidden_sizes), action_count, rng, dtype)
+    return cls
+
+
+def build_network(kind: str, input_dim: int, hidden_sizes, action_count: int,
+                  rng: np.random.Generator, dtype=LEARNER_DTYPE):
+    return _network_class(kind)(input_dim, tuple(hidden_sizes), action_count,
+                                rng, dtype)
 
 
 def clip_gradients(grad: np.ndarray, bound: float) -> np.ndarray:
@@ -297,26 +308,32 @@ def model_from_checkpoint(data: dict):
         raise CheckpointError(f"checkpoint lacks key {exc}") from exc
     except ConfigError as exc:
         raise CheckpointError(str(exc)) from exc
+    input_dim, action_count = data["input_dim"], data["action_count"]
     try:
-        model = build_network(kind, data["input_dim"], hidden,
-                              data["action_count"], np.random.default_rng(0),
-                              np.dtype(dtype))
+        cls = _network_class(kind)
+        layers = cls._layer_shapes(input_dim, hidden, action_count)
     except ValueError as exc:   # an unknown kind, or dueling with no hidden
         raise CheckpointError(str(exc)) from exc
-    if len(arrays) != len(model.params):
+    # every array against the header's layout before its sizes allocate
+    # anything, so an absurd size fails here and not in numpy
+    shapes = [s for n_in, n_out in layers for s in ((n_in, n_out), (n_out,))]
+    if len(arrays) != len(shapes):
         raise CheckpointError(
-            f"expected {len(model.params)} arrays, got {len(arrays)}")
-    for p, (shape, values) in zip(model.params, arrays):
-        if not isinstance(shape, list) or tuple(shape) != p.shape:
-            raise CheckpointError(
-                f"array shape {shape!r} does not match {list(p.shape)}")
+            f"expected {len(shapes)} arrays, got {len(arrays)}")
+    for want, (shape, values) in zip(shapes, arrays):
+        if not (isinstance(shape, list) and tuple(shape) == want and
+                isinstance(values, list) and len(values) == math.prod(want)):
+            raise CheckpointError(f"array shape {shape!r} or its data length "
+                                  f"does not match {list(want)}")
+    model = cls(input_dim, tuple(hidden), action_count,
+                np.random.default_rng(0), np.dtype(dtype))
+    for p, (_, values) in zip(model.params, arrays):
         # a value beyond the dtype's range becomes inf, rejected just below
         with np.errstate(over="ignore"):
             try:
                 p[...] = np.array(values, dtype=float).reshape(p.shape)
             except (TypeError, ValueError) as exc:
-                raise CheckpointError(f"array data does not fill shape "
-                                      f"{list(p.shape)}: {exc}") from exc
+                raise CheckpointError(f"array data: {exc}") from exc
     if not np.isfinite(model.flat).all():
         raise CheckpointError("checkpoint holds a non-finite weight")
     return model

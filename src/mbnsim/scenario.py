@@ -1,4 +1,4 @@
-"""Topology and scenario generation: base stations, users, link gains.
+"""Scenario generation: base stations, users, link gains.
 
 A scenario is frozen geometry (one RF base station at the cell center plus
 scattered small-coverage THz base stations, users drawn in the disc) with a
@@ -48,12 +48,6 @@ class BaseStation:
 
 
 @dataclass
-class Topology:
-    cell_radius_m: float
-    stations: list[BaseStation]  # the RF station first, then the THz stations
-
-
-@dataclass
 class UserProfile:
     user_class: UserClass
     kind: UserKind
@@ -65,7 +59,7 @@ class NetworkState:
     """Ground truth the environment and the baselines operate on."""
 
     channel: ChannelParams
-    topology: Topology
+    stations: list[BaseStation]  # the RF station first, then the THz stations
     users: list[UserProfile]
     qos: QosTargets
     frame_rf: FrameConfig
@@ -82,7 +76,7 @@ class NetworkState:
 
     @property
     def n_bs(self) -> int:
-        return len(self.topology.stations)
+        return len(self.stations)
 
     @property
     def n_subchannels(self) -> int:
@@ -104,7 +98,7 @@ class NetworkState:
 
     def copy(self) -> "NetworkState":
         new = copy.copy(self)
-        new.topology = copy.deepcopy(self.topology)
+        new.stations = copy.deepcopy(self.stations)
         new.users = [copy.copy(u) for u in self.users]
         for u in new.users:
             u.position = u.position.copy()
@@ -131,11 +125,10 @@ def _rf_link_gains(channel: ChannelParams, distance_m: float,
     return [rf_path_gain(channel, distance_m, x) for x in fading_row.tolist()]
 
 
-def compute_gain_tensor(channel: ChannelParams, topology: Topology,
+def compute_gain_tensor(channel: ChannelParams, stations: list[BaseStation],
                         users: list[UserProfile],
                         fading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recompute (gains, reachable) from geometry and the given RF fading."""
-    stations = topology.stations
     c = channel.subchannels_per_band
     gains = np.zeros((len(users), len(stations), c))
     reachable = np.zeros((len(users), len(stations)), dtype=bool)
@@ -183,7 +176,6 @@ def generate_scenario(cfg: ScenarioConfig,
                                     max_power_w=cfg.tbs_power_w,
                                     band=Band.THZ,
                                     coverage_radius_m=cfg.tbs_coverage_m))
-    topology = Topology(cell_radius_m=cfg.cell_radius_m, stations=stations)
 
     users: list[UserProfile] = []
     for user_class, count in ((UserClass.FEMBB, cfg.n_fembb),
@@ -208,10 +200,10 @@ def generate_scenario(cfg: ScenarioConfig,
 
     c = channel.subchannels_per_band
     fading = rng.exponential(1.0, size=(len(users), c))
-    gains, reachable = compute_gain_tensor(channel, topology, users, fading)
-    state = NetworkState(
+    gains, reachable = compute_gain_tensor(channel, stations, users, fading)
+    return NetworkState(
         channel=channel,
-        topology=topology,
+        stations=stations,
         users=users,
         qos=cfg.qos_targets(),
         frame_rf=cfg.frame_for_bandwidth(channel.rf_subchannel_bandwidth_hz),
@@ -219,17 +211,15 @@ def generate_scenario(cfg: ScenarioConfig,
         gains=gains,
         fading=fading,
         reachable=reachable,
-        gain_log_bounds=(0.0, 1.0),
+        gain_log_bounds=_gain_log_bounds(gains, reachable),
     )
-    state.gain_log_bounds = _gain_log_bounds(gains, reachable)
-    return state
 
 
 def refresh_fading(state: NetworkState, rng: np.random.Generator) -> None:
     """Redraw RF small-scale fading in place and refresh the RF gain column."""
     state.fading = rng.exponential(1.0, size=state.fading.shape)
     for i, user in enumerate(state.users):
-        d = _distance(user.position, state.topology.stations[0].position)
+        d = _distance(user.position, state.stations[0].position)
         state.gains[i, 0] = _rf_link_gains(state.channel, d, state.fading[i])
 
 
@@ -239,7 +229,7 @@ def refresh_fading(state: NetworkState, rng: np.random.Generator) -> None:
 def make_sbn_scenario(state: NetworkState) -> NetworkState:
     """Single-band network: same users, THz stations removed."""
     new = state.copy()
-    new.topology.stations = new.topology.stations[:1]
+    new.stations = new.stations[:1]
     new.gains = new.gains[:, :1, :].copy()
     new.reachable = new.reachable[:, :1].copy()
     new.gain_log_bounds = _gain_log_bounds(new.gains, new.reachable)

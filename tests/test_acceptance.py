@@ -334,7 +334,7 @@ def test_criterion_6_mbn_superiority(duel_records, sbn_records, sc_records):
         state = make_sc_scenario(generate_scenario(cfg, seed=60 + count))
         state.fading[:] = 1.0
         state.gains, state.reachable = compute_gain_tensor(
-            state.channel, state.topology, state.users, state.fading)
+            state.channel, state.stations, state.users, state.fading)
         alloc = Allocation(count, 0, state.n_subchannels, state.n_minislots)
         for f in range(count):
             free = [k for k in range(state.n_subchannels)

@@ -873,11 +873,15 @@ class TestCheckpoints:
                                          *data["arrays"][1:]]},
         lambda data: {**data, "arrays": [{**data["arrays"][0], "data": [1.0]},
                                          *data["arrays"][1:]]},
+        # sizes numpy refuses to allocate: the arrays are checked first
+        lambda data: {**data, "input_dim": 10**15},
+        lambda data: {**data, "hidden_sizes": [10**15]},
     ], ids=["top_level_list", "arrays_int", "arrays_of_strings",
             "input_dim_string", "input_dim_bool", "action_count_bool",
             "hidden_sizes_string", "hidden_size_float", "hidden_size_zero",
             "kind_list", "dueling_without_hidden", "format_version_bool",
-            "shape_int", "data_object", "data_too_short"])
+            "shape_int", "data_object", "data_too_short", "input_dim_huge",
+            "hidden_size_huge"])
     def test_malformed_header_rejected(self, change):
         with pytest.raises(CheckpointError):
             model_from_checkpoint(change(checkpoint_dict(small_plain(seed=1))))

@@ -50,6 +50,33 @@ class TestOracleCrossCheck:
                 assert v_bb == v_en
                 assert a_bb.canonical_key() == a_en.canonical_key()
 
+    def test_matches_enumeration_on_ties(self):
+        # every user at one point with unit fading: users of a class are
+        # interchangeable and the two subchannels equal, so many complete
+        # allocations tie and the smaller canonical key must win in both
+        for n_fembb, n_eurllc, offset_m, target in itertools.product(
+                (1, 2, 3), (1, 2), (1.0, 10.0), (1e6, 1e8)):
+            state = generate_scenario(ScenarioConfig.desk_default().replace(
+                n_tbs=1, n_fembb=n_fembb, n_eurllc=n_eurllc,
+                subchannels_per_band=2, minislots_per_subchannel=2,
+                fembb_min_rate_bps=target), seed=7)
+            # 1 m from the THz station is inside its 5 m coverage, 10 m not
+            point = state.stations[1].position + [offset_m, 0.0, 0.0]
+            for user in state.users:
+                user.position = point.copy()
+            state.fading[:] = 1.0
+            state.gains, state.reachable = compute_gain_tensor(
+                state.channel, state.stations, state.users, state.fading)
+            relaxed = state.copy()
+            relaxed.fembb_qos_enforced = False
+            for s, weight_rate in itertools.product((state, relaxed),
+                                                    (0.0, 0.5, 1.0)):
+                weights = ScalarizedObjective.for_state(s, weight_rate)
+                a_bb, v_bb = optimal_allocation(s, weights)
+                a_en, v_en = enumerate_optimal(s, weights)
+                assert v_bb == v_en
+                assert a_bb.canonical_key() == a_en.canonical_key()
+
     def test_single_user_picks_best_subchannel(self):
         state = desk_state(n_tbs=0, n_fembb=1, n_eurllc=0,
                            subchannels_per_band=2, aerial_fraction=0.0,
@@ -57,7 +84,7 @@ class TestOracleCrossCheck:
         # make subchannel quality unambiguous through the fading draws
         state.fading[0] = [0.2, 2.0]
         state.gains, state.reachable = compute_gain_tensor(
-            state.channel, state.topology, state.users, state.fading)
+            state.channel, state.stations, state.users, state.fading)
         alloc, _ = optimal_allocation(state, ScalarizedObjective.for_state(state))
         assert alloc.fembb_bs[0] == 0
         assert alloc.fembb_k[0] == 1
@@ -166,7 +193,7 @@ class TestSbnTransform:
     def test_single_station_remains(self):
         sbn = make_sbn_scenario(desk_state())
         assert sbn.n_bs == 1
-        assert len(sbn.topology.stations) == 1
+        assert len(sbn.stations) == 1
         assert sbn.gains.shape[1] == 1
 
     def test_thz_candidates_vanish(self):
@@ -228,7 +255,7 @@ class TestScTransform:
                            aerial_fraction=0.0, hotspot_fraction=0.0)
         state.fading[:] = 1e-9  # rate collapses below the target
         state.gains, state.reachable = compute_gain_tensor(
-            state.channel, state.topology, state.users, state.fading)
+            state.channel, state.stations, state.users, state.fading)
         weights = ScalarizedObjective(rate_scale_bps=1e9,
                                       reliability_scale=1.0)
         alloc = Allocation(1, 0, state.n_subchannels, state.n_minislots)

@@ -35,7 +35,7 @@ def single_rbs_state(seed=42, **overrides):
     state = make_state(seed=seed, n_tbs=0, **overrides)
     state.fading[:] = 1.0
     state.gains, state.reachable = compute_gain_tensor(
-        state.channel, state.topology, state.users, state.fading)
+        state.channel, state.stations, state.users, state.fading)
     state.gain_log_bounds = _gain_log_bounds(state.gains, state.reachable)
     return state
 
@@ -127,11 +127,11 @@ class TestObjective:
         # independent recomputation from the service-layer formulas
         w_sub = state.channel.rf_subchannel_bandwidth_hz
         noise = noise_power_w(state.channel, w_sub)
-        power = state.topology.stations[0].max_power_w / state.n_subchannels
+        power = state.stations[0].max_power_w / state.n_subchannels
         d_f = np.linalg.norm(state.users[0].position
-                             - state.topology.stations[0].position)
+                             - state.stations[0].position)
         d_u = np.linalg.norm(state.users[1].position
-                             - state.topology.stations[0].position)
+                             - state.stations[0].position)
         gamma_f = power * rf_path_gain(state.channel, d_f, 1.0) / noise
         gamma_u = power * rf_path_gain(state.channel, d_u, 1.0) / noise
         rate = punctured_rate(w_sub, gamma_f, 1, state.n_minislots)
@@ -285,7 +285,7 @@ class TestEnvStep:
         # recomputed here straight from the service formulas
         state = env.state
         w_sub = state.channel.rf_subchannel_bandwidth_hz
-        p_sub = state.topology.stations[0].max_power_w / state.n_subchannels
+        p_sub = state.stations[0].max_power_w / state.n_subchannels
         gamma = (p_sub * state.gains[user, 0, k]
                  / noise_power_w(state.channel, w_sub))
         cfg = env.objective_cfg
@@ -322,11 +322,11 @@ class TestEnvStep:
                                  hotspot_fraction=0.0)
         state.fading[:] = 1e-15  # starve the SINR
         state.gains, state.reachable = compute_gain_tensor(
-            state.channel, state.topology, state.users, state.fading)
+            state.channel, state.stations, state.users, state.fading)
         env = JnsaEnv(state, seed=3, refresh_fading_on_reset=False)
         env.reset()
         user = env.current_agent
-        p_sub = state.topology.stations[0].max_power_w / state.n_subchannels
+        p_sub = state.stations[0].max_power_w / state.n_subchannels
         gamma = (p_sub * state.gains[user, 0, 0] / noise_power_w(
             state.channel, state.channel.rf_subchannel_bandwidth_hz))
         assert not eurllc_feasible(state.frame_rf, gamma, state.qos)
@@ -357,7 +357,7 @@ class TestEnvStep:
                                  hotspot_fraction=0.0)
         state.fading[:] = 1e-15  # starve the rate
         state.gains, state.reachable = compute_gain_tensor(
-            state.channel, state.topology, state.users, state.fading)
+            state.channel, state.stations, state.users, state.fading)
         state.fembb_qos_enforced = enforced
         env = JnsaEnv(state, seed=3, refresh_fading_on_reset=False)
         env.reset()
@@ -698,9 +698,9 @@ class TestMobility:
         # hand-computed: 10 s at 2 m/s moves each user 20 m straight away
         # from its station, in the plane both share
         state = make_state()
-        state.topology.stations[0].position = np.array([0.0, 0.0, 1.5])
-        state.topology.stations[1].position = np.array([10.0, 0.0, 1.5])
-        state.topology.stations[2].position = np.array([0.0, 30.0, 1.5])
+        state.stations[0].position = np.array([0.0, 0.0, 1.5])
+        state.stations[1].position = np.array([10.0, 0.0, 1.5])
+        state.stations[2].position = np.array([0.0, 30.0, 1.5])
         fembb, eurllc = state.fembb_users, state.eurllc_users
         state.users[fembb[0]].position = np.array([13.0, 4.0, 1.5])
         state.users[fembb[1]].position = np.array([0.0, -8.0, 1.5])
@@ -716,7 +716,7 @@ class TestMobility:
         assert out.users[fembb[1]].position.tolist() == [0.0, -28.0, 1.5]
         assert out.users[eurllc[0]].position.tolist() == [0.0, 56.0, 1.5]
         gains, reachable = compute_gain_tensor(
-            out.channel, out.topology, out.users, state.fading)
+            out.channel, out.stations, out.users, state.fading)
         assert np.array_equal(out.gains, gains)
         assert np.array_equal(out.reachable, reachable)
 
@@ -751,7 +751,7 @@ class TestMobility:
         state, alloc, serving = self._served_state()
         out = apply_mobility(state, alloc, 10.0, 2.0)
         for i in range(state.n_users):
-            anchor = state.topology.stations[serving[i]].position
+            anchor = state.stations[serving[i]].position
             d0 = np.linalg.norm(state.users[i].position - anchor)
             d1 = np.linalg.norm(out.users[i].position - anchor)
             assert d1 - d0 == pytest.approx(20.0, abs=1e-9)

@@ -348,7 +348,8 @@ class TestRobustnessSweep:
 
 def write_shaped_checkpoints(directory: Path, cfg: ScenarioConfig) -> None:
     """`fembb.json` and `eurllc.json` fit `evaluate`'s scenario for `cfg`;
-    `fembb_x3.json` has three times the FeMBB action count."""
+    `fembb_x3.json` has three times the FeMBB action count, and
+    `fembb_huge.json` a header whose input size numpy cannot allocate."""
     env = JnsaEnv(*build_problem(cfg, "mbn", cfg.seed))
     rng = np.random.default_rng(0)
     for name, obs_dim, actions in (
@@ -357,6 +358,9 @@ def write_shaped_checkpoints(directory: Path, cfg: ScenarioConfig) -> None:
             ("fembb_x3", env.fembb_obs_dim, 3 * env.fembb_action_count)):
         save_checkpoint(QNetwork(obs_dim, (8,), actions, rng),
                         directory / f"{name}.json")
+    huge = json.loads((directory / "fembb.json").read_text())
+    huge["input_dim"] = 10**15
+    (directory / "fembb_huge.json").write_text(json.dumps(huge))
 
 
 EVALUATE_MOBILITY = ["evaluate", "--perturbation", "mobility", "--values", "0"]
@@ -546,6 +550,9 @@ class TestCli:
               "--checkpoint-eurllc", "{ckpt}/eurllc.json"]),
         ("", [*EVALUATE_MOBILITY, "--checkpoint-fembb", "{ckpt}/eurllc.json",
               "--checkpoint-eurllc", "{ckpt}/fembb.json"]),
+        ("", [*EVALUATE_MOBILITY, "--checkpoint-fembb",
+              "{ckpt}/fembb_huge.json", "--checkpoint-eurllc",
+              "{ckpt}/eurllc.json"]),
         # every class with users needs its checkpoint
         ("", [*EVALUATE_MOBILITY, "--checkpoint-eurllc", "{ckpt}/eurllc.json"]),
         # the oracle decides alone; a checkpoint beside it would be ignored
@@ -561,6 +568,7 @@ class TestCli:
             "oracle_too_many_subchannels", "optimal_sweep_too_many_users",
             "sc_oracle_too_many_terrestrial_users",
             "evaluate_too_many_actions", "evaluate_swapped_roles",
+            "evaluate_oversized_header",
             "evaluate_without_fembb_checkpoint",
             "evaluate_oracle_with_checkpoint", "evaluate_negative_seed"])
     def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):

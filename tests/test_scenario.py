@@ -25,7 +25,7 @@ def state_fields(state) -> dict:
         "fading": state.fading.tolist(),
         "reachable": state.reachable.tolist(),
         "stations": [(s.position.tolist(), s.band, s.max_power_w,
-                      s.coverage_radius_m) for s in state.topology.stations],
+                      s.coverage_radius_m) for s in state.stations],
         "users": [(u.position.tolist(), u.user_class, u.kind)
                   for u in state.users],
         "gain_log_bounds": state.gain_log_bounds,
@@ -41,7 +41,7 @@ class TestGeneration:
         assert np.array_equal(a.fading, b.fading)
         for ua, ub in zip(a.users, b.users):
             assert np.array_equal(ua.position, ub.position)
-        for ta, tb in zip(a.topology.stations, b.topology.stations):
+        for ta, tb in zip(a.stations, b.stations):
             assert np.array_equal(ta.position, tb.position)
 
     def test_different_seed_differs(self):
@@ -65,15 +65,15 @@ class TestGeneration:
 
     def test_rbs_at_center(self):
         state = generate_scenario(desk_cfg(), seed=5)
-        assert np.allclose(state.topology.stations[0].position[:2], 0.0)
-        assert state.topology.stations[0].band is Band.RF
+        assert np.allclose(state.stations[0].position[:2], 0.0)
+        assert state.stations[0].band is Band.RF
 
     def test_everything_inside_disc(self):
         cfg = desk_cfg(n_tbs=8, n_fembb=12, n_eurllc=12)
         state = generate_scenario(cfg, seed=11)
         for u in state.users:
             assert np.hypot(u.position[0], u.position[1]) <= cfg.cell_radius_m + 1e-9
-        for t in state.topology.stations[1:]:
+        for t in state.stations[1:]:
             assert np.hypot(t.position[0], t.position[1]) <= cfg.cell_radius_m + 1e-9
             assert t.coverage_radius_m == cfg.tbs_coverage_m
             assert t.band is Band.THZ
@@ -147,9 +147,9 @@ class TestJsonSnapshot:
         state = generate_scenario(desk_cfg(n_tbs=5), seed=41)
         back = self.redraw(desk_cfg(n_tbs=5), 41)
         assert [(s.position.tolist(), s.band, s.max_power_w,
-                 s.coverage_radius_m) for s in back.topology.stations] == \
+                 s.coverage_radius_m) for s in back.stations] == \
             [(s.position.tolist(), s.band, s.max_power_w, s.coverage_radius_m)
-             for s in state.topology.stations]
+             for s in state.stations]
 
     @pytest.mark.parametrize("cfg, transform", [
         (desk_cfg(), lambda s: s),
@@ -190,7 +190,7 @@ class TestFadingRefresh:
         # both paths must compute RF gains the same way, bit for bit
         state = generate_scenario(desk_cfg(), seed=33)
         refresh_fading(state, np.random.default_rng(1))
-        gains, _ = compute_gain_tensor(state.channel, state.topology,
+        gains, _ = compute_gain_tensor(state.channel, state.stations,
                                        state.users, state.fading)
         assert np.array_equal(gains, state.gains)
 
@@ -210,10 +210,10 @@ class TestAblationTransforms:
     def test_keeps_station_zero_only(self, transform):
         state = generate_scenario(desk_cfg(), seed=53)
         new = transform(state)
-        assert new.n_bs == 1 and len(new.topology.stations) == 1
-        assert new.topology.stations[0].band is Band.RF
-        assert np.array_equal(new.topology.stations[0].position,
-                              state.topology.stations[0].position)
+        assert new.n_bs == 1 and len(new.stations) == 1
+        assert new.stations[0].band is Band.RF
+        assert np.array_equal(new.stations[0].position,
+                              state.stations[0].position)
         assert new.gains.shape[1] == new.reachable.shape[1] == 1
 
     @pytest.mark.parametrize("transform", [make_sbn_scenario,
@@ -222,8 +222,8 @@ class TestAblationTransforms:
     def test_source_state_unchanged(self, transform):
         state = generate_scenario(desk_cfg(), seed=53)
         before = state_fields(state)
-        stations, users = state.topology.stations, state.users
+        stations, users = state.stations, state.users
         transform(state)
-        assert state.topology.stations is stations and state.users is users
+        assert state.stations is stations and state.users is users
         assert len(stations) == 3
         assert state_fields(state) == before
