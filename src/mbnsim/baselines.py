@@ -97,6 +97,8 @@ def optimal_allocation(state: NetworkState,
 
     best_val = -math.inf
     best_alloc: Allocation | None = None
+    alloc = Allocation(n_f, n_u, c, m)
+    occupied = np.zeros((n_bs, c), dtype=bool)
     nodes = 0
 
     def count_node():
@@ -106,7 +108,7 @@ def optimal_allocation(state: NetworkState,
             raise InstanceSizeError(
                 f"search exceeded the node budget of {NODE_BUDGET}")
 
-    def leaf(alloc: Allocation):
+    def leaf():
         nonlocal best_val, best_alloc
         value = objective_breakdown(state, alloc, weights).value
         if value > best_val or (value == best_val and best_alloc is not None
@@ -114,51 +116,45 @@ def optimal_allocation(state: NetworkState,
             best_val = value
             best_alloc = alloc.copy()
 
-    def eurllc_stage(alloc: Allocation, occupied: np.ndarray,
-                     fembb_partial: float):
-        # resolved hosts and optimistic per-(user, k) values for this occupancy
-        hosts = np.zeros((n_u, c), dtype=int)
-        values = np.zeros((n_u, c))
-        for q, user in enumerate(eurllc_ids):
-            for k in range(c):
-                host = resolve_eurllc_host(state, occupied, user, k)
-                hosts[q, k] = host
-                values[q, k] = (eurllc_value(user, host, k) if host >= 0
-                                else unserved)
-        order = [sorted(range(c), key=lambda k: -values[q, k])
-                 for q in range(n_u)]
-        suffix = _suffix_sums([values[q].max(initial=unserved)
-                               for q in range(n_u)])
-        used = np.zeros((c, m), dtype=bool)
+    def eurllc_stage(fembb_partial: float):
+        # per-eURLLC-user (value, subchannel, resolved host) options for this
+        # occupancy, sorted by optimistic value, best first
+        u_options: list[list[tuple[float, int, int]]] = []
+        for user in eurllc_ids:
+            opts = [(eurllc_value(user, host, k), k, host) for k in range(c)
+                    for host in [resolve_eurllc_host(state, occupied, user, k)]]
+            opts.sort(key=lambda t: (-t[0], t[1]))
+            u_options.append(opts)
+        suffix = _suffix_sums([max(opts[0][0], unserved) for opts in u_options])
+        # mini-slots on one subchannel are interchangeable upward, so each
+        # user takes the first free one: subchannel k uses 0..taken[k]-1
+        taken = [0] * c
 
         def descend(q: int, partial: float):
             count_node()
             if q == n_u:
-                leaf(alloc)
+                leaf()
                 return
             if fembb_partial + partial + suffix[q] < best_val:
                 return
-            for k in order[q]:
-                for slot in range(m):
-                    if used[k, slot]:
-                        continue
-                    used[k, slot] = True
-                    alloc.eurllc_k[q], alloc.eurllc_m[q] = k, slot
-                    alloc.eurllc_host[q] = hosts[q, k]
-                    descend(q + 1, partial + values[q, k])
-                    alloc.eurllc_k[q] = alloc.eurllc_m[q] = alloc.eurllc_host[q] = -1
-                    used[k, slot] = False
-                    break  # mini-slots on one subchannel are interchangeable upward
+            for value, k, host in u_options[q]:
+                if taken[k] == m:
+                    continue
+                alloc.eurllc_k[q], alloc.eurllc_m[q] = k, taken[k]
+                alloc.eurllc_host[q] = host
+                taken[k] += 1
+                descend(q + 1, partial + value)
+                taken[k] -= 1
+                alloc.eurllc_k[q] = alloc.eurllc_m[q] = alloc.eurllc_host[q] = -1
             descend(q + 1, partial + unserved)  # leave this user unserved
 
         descend(0, 0.0)
 
-    def fembb_stage(f: int, partial: float, alloc: Allocation,
-                    occupied: np.ndarray):
+    def fembb_stage(f: int, partial: float):
         count_node()
         if f == n_f:
             if partial + u_bound_total >= best_val:
-                eurllc_stage(alloc, occupied, partial)
+                eurllc_stage(partial)
             return
         if partial + f_best_suffix[f] + u_bound_total < best_val:
             return
@@ -168,14 +164,13 @@ def optimal_allocation(state: NetworkState,
                     continue
                 occupied[j, k] = True
                 alloc.fembb_bs[f], alloc.fembb_k[f] = j, k
-                fembb_stage(f + 1, partial + value, alloc, occupied)
+                fembb_stage(f + 1, partial + value)
                 alloc.fembb_bs[f], alloc.fembb_k[f] = -1, -1
                 occupied[j, k] = False
             else:
-                fembb_stage(f + 1, partial + value, alloc, occupied)
+                fembb_stage(f + 1, partial + value)
 
-    alloc0 = Allocation(n_f, n_u, c, m)
-    fembb_stage(0, 0.0, alloc0, np.zeros((n_bs, c), dtype=bool))
+    fembb_stage(0, 0.0)
     assert best_alloc is not None
     return best_alloc, best_val
 

@@ -12,14 +12,14 @@ import sys
 from pathlib import Path
 
 from .agents import Algorithm
-from .baselines import InstanceSizeError, optimal_allocation
+from .baselines import optimal_allocation
 from .config import ConfigError, ScenarioConfig, load_scenario_config
 from .env import JnsaEnv
 from .harness import (ALGORITHMS, ENV_VARIANTS, ROBUSTNESS_COLUMNS,
                       ExperimentSpec, build_problem, derived_seed,
                       format_cell, kept_user_counts, robustness_sweep,
                       run_experiment, write_manifest, write_rows)
-from .nets import CheckpointError, model_from_checkpoint
+from .nets import model_from_checkpoint
 from . import __version__
 
 
@@ -51,19 +51,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_train(args) -> int:
-    """`train` and `sweep`: run the experiment the arguments describe."""
+    """`train`, `sweep`, `oracle`: run the experiment the arguments describe."""
     run_experiment(_spec_from_args(args, args.algo), args.out)
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    records = run_experiment(_spec_from_args(args, "optimal"), args.out)
-    alloc_dir = Path(args.out) / "allocations"
-    alloc_dir.mkdir(parents=True, exist_ok=True)
-    for record in records:
-        if record.final_allocation is not None:
-            (alloc_dir / f"{record.run_id}.json").write_text(
-                json.dumps(record.final_allocation.to_json()))
     return 0
 
 
@@ -160,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact solve, no training")
     _add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=cmd_train, algo="optimal")
 
     p_eval = sub.add_parser("evaluate",
                             help="frozen policy/allocation under perturbations")
@@ -186,8 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InstanceSizeError, CheckpointError, ValueError,
-            FloatingPointError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,8 @@ File schemas (all floats emitted with repr so rows round-trip exactly):
 * ``rewards.csv``: run_id, episode, reward (per-episode total reward).
 * ``summary.csv``: per (algorithm, env_variant, sweep_param, sweep_value)
   seed aggregates: mean and standard error of the mean.
+* ``allocations/<run_id>.json``: an ``optimal`` run's chosen allocation
+  (``Allocation.to_json``).
 * ``manifest.json``: the fully resolved experiment spec and config hash,
   the package version, the learners' float type (``learner_dtype``) and
   the python and numpy versions, which the bits of a trained run depend on.
@@ -423,8 +425,8 @@ def run_experiment(spec: ExperimentSpec,
                    out_dir: str | Path | None = None) -> list[RunRecord]:
     """One RunRecord per (sweep value, seed), sweep values outermost. When
     out_dir is given, each finished run's rows are appended to runs.csv and
-    rewards.csv before the next run starts, and summary.csv follows the
-    last run."""
+    rewards.csv (and an optimal run's allocation written) before the next
+    run starts, and summary.csv follows the last run."""
     spec.validate()
     chash = config_hash(spec)
     values = spec.sweep_values if spec.sweep_param is not None else ("",)
@@ -455,6 +457,11 @@ def run_experiment(spec: ExperimentSpec,
                        [(record.run_id, episode, repr(float(reward)))
                         for episode, reward in enumerate(record.rewards,
                                                          start=1)])
+            if spec.algorithm == "optimal":
+                alloc_dir = out_path / "allocations"
+                alloc_dir.mkdir(exist_ok=True)
+                (alloc_dir / f"{record.run_id}.json").write_text(
+                    json.dumps(record.final_allocation.to_json()))
 
     if out_path is not None:
         summary = [[format_cell(row[col]) for col in SUMMARY_COLUMNS]

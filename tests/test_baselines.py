@@ -160,6 +160,16 @@ class TestSizeGuards:
             enumerate_optimal(state, ScalarizedObjective.for_state(state),
                               max_combinations=1000)
 
+    @pytest.mark.parametrize("n_fembb", [4, 0])
+    def test_node_budget(self, monkeypatch, n_fembb):
+        # without FeMBB users every node past the root is an eURLLC one
+        import mbnsim.baselines as baselines
+        monkeypatch.setattr(baselines, "NODE_BUDGET", 10)
+        state = desk_state(n_fembb=n_fembb)
+        with pytest.raises(InstanceSizeError,
+                           match="search exceeded the node budget of 10$"):
+            optimal_allocation(state, ScalarizedObjective.for_state(state))
+
     def test_desk_instance_solves_fast(self):
         import time
         state = desk_state()

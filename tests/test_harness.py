@@ -207,7 +207,9 @@ class TestRunExperiment:
         assert (tmp_path / "a/summary.csv").read_bytes() == \
             (tmp_path / "b/summary.csv").read_bytes()
 
-    def test_crash_keeps_finished_runs_on_disk(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("algorithm", ["dqn", "optimal"])
+    def test_crash_keeps_finished_runs_on_disk(self, tmp_path, monkeypatch,
+                                               algorithm):
         from mbnsim import harness
         real_run_single = harness._run_single
         calls = []
@@ -220,14 +222,21 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "_run_single", crash_on_second)
         with pytest.raises(RuntimeError, match="injected crash"):
-            run_experiment(tiny_spec(seeds=(1, 2)), tmp_path)
+            run_experiment(tiny_spec(seeds=(1, 2), algorithm=algorithm),
+                           tmp_path)
         rows = read_runs_csv(tmp_path / "runs.csv")
         assert [(row["run_id"], row["seed"]) for row in rows] == [("run0000", 1)]
         with open(tmp_path / "rewards.csv", newline="") as fh:
             rewards = list(csv.reader(fh))
         assert rewards[0] == ["run_id", "episode", "reward"]
+        trained = algorithm != "optimal"  # the oracle has no episodes
         assert [row[:2] for row in rewards[1:]] == [
-            ["run0000", str(e)] for e in range(1, 61)]
+            ["run0000", str(e)] for e in range(1, 61) if trained]
+        allocations = tmp_path / "allocations"
+        if trained:
+            assert not allocations.exists()
+        else:  # an oracle run's allocation reaches disk with its rows
+            assert [p.name for p in allocations.iterdir()] == ["run0000.json"]
 
     def test_different_seed_differs(self, tmp_path):
         records_a = run_experiment(tiny_spec(seeds=(1,)))
@@ -427,6 +436,24 @@ class TestCli:
         assert rc == 0
         assert len(read_runs_csv(tmp_path / "out/runs.csv")) == 2
 
+    def test_optimal_sweep_writes_oracle_allocations(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        assert cli.main(["sweep", "--config", str(cfg), "--algo", "optimal",
+                         "--param", "n_eurllc", "--values", "1", "2",
+                         "--seed", "1", "--out", str(tmp_path / "sweep")]) == 0
+        allocations = tmp_path / "sweep/allocations"
+        assert sorted(p.name for p in allocations.iterdir()) == [
+            "run0000.json", "run0001.json"]
+        for index, n_eurllc in enumerate((1, 2)):
+            path = tmp_path / f"n_eurllc{n_eurllc}.yaml"
+            save_scenario_config(load_scenario_config(cfg).replace(
+                n_eurllc=n_eurllc), path)
+            out = tmp_path / f"oracle{n_eurllc}"
+            assert cli.main(["oracle", "--config", str(path), "--seed", "1",
+                             "--out", str(out)]) == 0
+            assert (allocations / f"run{index:04d}.json").read_bytes() == \
+                (out / "allocations/run0000.json").read_bytes()
+
     def test_evaluate_with_checkpoints(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         assert cli.main(["train", "--config", str(cfg), "--algo", "duel_dqn",
@@ -559,6 +586,9 @@ class TestCli:
         ("", [*EVALUATE_MOBILITY, "--use-oracle",
               "--checkpoint-fembb", "{ckpt}/fembb.json"]),
         ("", [*EVALUATE_MOBILITY, "--use-oracle", "--seed", "-1"]),
+        # a size numpy refuses to allocate at once (142 PiB for one array)
+        ("subchannels_per_band: 1000000000000000\n",
+         ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
     ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
             "zero_minislots_sweep_value", "repeated_sweep_value", "no_users",
@@ -570,7 +600,8 @@ class TestCli:
             "evaluate_too_many_actions", "evaluate_swapped_roles",
             "evaluate_oversized_header",
             "evaluate_without_fembb_checkpoint",
-            "evaluate_oracle_with_checkpoint", "evaluate_negative_seed"])
+            "evaluate_oracle_with_checkpoint", "evaluate_negative_seed",
+            "evaluate_unallocatable_size"])
     def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml_text)
@@ -629,6 +660,25 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_unallocatable_size_exit_code(self, tmp_path, capsys):
+        # the run fails after its output directory exists, as a diverged one
+        path = tmp_path / "cfg.yaml"
+        path.write_text("subchannels_per_band: 1000000000000000\n")
+        rc = cli.main(["train", "--config", str(path), "--algo", "dqn",
+                       "--episodes", "5", "--seed", "1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_node_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        from mbnsim import baselines
+        monkeypatch.setattr(baselines, "NODE_BUDGET", 10)
+        rc = cli.main(["oracle", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: search exceeded the node budget of 10\n")
 
     def test_invalid_sweep_param_exit_code(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
