@@ -49,20 +49,14 @@ class ExplorationSchedule:
 @dataclass(frozen=True)
 class TrainerConfig:
     learning_rate: float = 1e-3
-    discount: float = 0.9
     batch_size: int = 64
-    target_sync_period: int = 200
     buffer_capacity: int = 10_000
     hidden_sizes: tuple[int, ...] = (128, 128)
-    grad_clip: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must lie in [0, 1)")
-        for name in ("batch_size", "target_sync_period", "buffer_capacity"):
+        for name in ("batch_size", "buffer_capacity"):
             require_positive(name, getattr(self, name), integral=True)
-        for name in ("learning_rate", "grad_clip"):
-            require_positive(name, getattr(self, name))
+        require_positive("learning_rate", self.learning_rate)
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         for size in self.hidden_sizes:
             require_positive("each hidden size", size, integral=True)
@@ -140,6 +134,8 @@ def select_action(model, observation: np.ndarray,
 class DqnTrainer:
     """One policy: online/target networks, replay, exploration, updates."""
 
+    DISCOUNT, TARGET_SYNC_PERIOD, GRAD_CLIP = 0.9, 200, 10.0
+
     def __init__(self, variant: Algorithm, obs_dim: int, action_count: int,
                  cfg: TrainerConfig,
                  schedule: ExplorationSchedule | None = None, seed: int = 0):
@@ -172,7 +168,7 @@ class DqnTrainer:
         obs, actions, rewards, next_obs, dones = self.buffer.sample(
             self.rng, self.cfg.batch_size)
         targets = td_targets(self.variant, self.online, self.target,
-                             rewards, next_obs, dones, self.cfg.discount)
+                             rewards, next_obs, dones, self.DISCOUNT)
         cache: list = []
         q = self.online.forward(obs, cache)
         rows = np.arange(len(actions))
@@ -182,10 +178,9 @@ class DqnTrainer:
         # see no float64 operand although td_err is float64
         dq = np.zeros_like(q)
         dq[rows, actions] = 2.0 * td_err / len(actions)
-        grad = clip_gradients(self.online.backward(cache, dq),
-                              self.cfg.grad_clip)
+        grad = clip_gradients(self.online.backward(cache, dq), self.GRAD_CLIP)
         self.optimizer.step([self.online.flat], [grad])
         self.train_count += 1
-        if self.train_count % self.cfg.target_sync_period == 0:
+        if self.train_count % self.TARGET_SYNC_PERIOD == 0:
             self.target.load_params_from(self.online)
         return loss

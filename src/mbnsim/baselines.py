@@ -34,6 +34,7 @@ class InstanceSizeError(ValueError):
 MAX_USERS = 12
 MAX_SUBCHANNELS = 10
 NODE_BUDGET = 20_000_000
+MAX_COMBINATIONS = 2_000_000  # the enumerator's limit on its search space
 
 
 def check_instance_size(n_users: int, n_subchannels: int) -> None:
@@ -176,8 +177,7 @@ def optimal_allocation(state: NetworkState,
 
 
 def enumerate_optimal(state: NetworkState,
-                      weights: ScalarizedObjective | None = None,
-                      max_combinations: int = 2_000_000
+                      weights: ScalarizedObjective | None = None
                       ) -> tuple[Allocation, float]:
     """Brute-force maximizer over every valid allocation; independent
     cross-check for `optimal_allocation` on tiny instances."""
@@ -197,9 +197,9 @@ def enumerate_optimal(state: NetworkState,
                  for _ in eurllc_ids]
 
     total = math.prod([len(o) for o in f_choices + u_choices] or [1])
-    if total > max_combinations:
+    if total > MAX_COMBINATIONS:
         raise InstanceSizeError(
-            f"enumeration space {total} exceeds {max_combinations}")
+            f"enumeration space {total} exceeds {MAX_COMBINATIONS}")
 
     best_val = -math.inf
     best_alloc: Allocation | None = None

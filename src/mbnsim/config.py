@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,12 +81,13 @@ class ScenarioConfig:
             value = getattr(self, name)
             # exact-type fast paths: a config is rebuilt for every scenario
             kind = type(value)
-            if kind is int:
+            if kind is int and abs(value) <= sys.float_info.max:
                 continue
             if kind is not float and (isinstance(value, bool) or
                                       not isinstance(value, numbers.Real)):
                 raise ConfigError(f"field {name} must be numeric, got {value!r}")
-            if not math.isfinite(value):
+            # an int left here is beyond float range: math.isfinite would overflow
+            if kind is int or not math.isfinite(value):
                 raise ConfigError(f"field {name} must be finite, got {value!r}")
             if is_int:
                 if value != int(value):

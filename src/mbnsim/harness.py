@@ -56,6 +56,8 @@ SWEEP_WHITELIST = ("n_fembb", "n_eurllc", "n_tbs", "aerial_fraction",
                    "minislots_per_subchannel")
 CSI_NOISE_SEED_BASE = 7000  # noise draw r of a CSI row uses seed base + r
 CONVERGENCE_WINDOW = 50  # episodes per moving average of episodes_to_95
+FINAL_WINDOW = 100  # last episodes whose mean sets episodes_to_95's target
+EVAL_EPISODES = 3  # greedy fading episodes a run's final scores average over
 
 RUNS_COLUMNS = ("run_id", "algorithm", "env_variant", "sweep_param",
                 "sweep_value", "seed", "episodes", "final_objective",
@@ -79,7 +81,6 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     sweep_param: str | None = None
     sweep_values: tuple | None = None
-    eval_episodes: int = 3
     epsilon_decay_fraction: float = 0.6
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
 
@@ -92,7 +93,6 @@ class ExperimentSpec:
                               f"{tuple(ENV_VARIANTS)}, "
                               f"got {self.env_variant!r}")
         require_positive("episodes", self.episodes, integral=True)
-        require_positive("eval_episodes", self.eval_episodes, integral=True)
         require_positive("epsilon_decay_fraction", self.epsilon_decay_fraction)
         if (not self.seeds or len(set(self.seeds)) != len(self.seeds)
                 or any(isinstance(s, bool) or not isinstance(s, int) or s < 0
@@ -274,18 +274,17 @@ def evaluate_oracle(state: NetworkState, objective_cfg: ScalarizedObjective,
 # ---------------------------------------------------------------------------
 # Convergence metric
 
-def convergence_metric(rewards, window: int = CONVERGENCE_WINDOW,
-                       final_window: int = 100) -> int | None:
-    """1-based start episode of the first `window`-episode moving average
-    reaching 95% of the final-`final_window` mean (from below in magnitude),
-    or None when never reached."""
+def convergence_metric(rewards) -> int | None:
+    """1-based start episode of the first `CONVERGENCE_WINDOW`-episode
+    moving average reaching 95% of the final-`FINAL_WINDOW` mean (from
+    below in magnitude), or None when never reached."""
     rewards = np.asarray(rewards, dtype=float)
-    if len(rewards) < window:
+    if len(rewards) < CONVERGENCE_WINDOW:
         raise ValueError(f"series of {len(rewards)} episodes is shorter than "
-                         f"the {window}-episode window")
-    final_mean = float(rewards[-min(final_window, len(rewards)):].mean())
+                         f"the {CONVERGENCE_WINDOW}-episode window")
+    final_mean = float(rewards[-min(FINAL_WINDOW, len(rewards)):].mean())
     threshold = final_mean - 0.05 * abs(final_mean)
-    kernel = np.ones(window) / window
+    kernel = np.ones(CONVERGENCE_WINDOW) / CONVERGENCE_WINDOW
     moving = np.convolve(rewards, kernel, mode="valid")
     hits = np.nonzero(moving >= threshold)[0]
     return int(hits[0]) + 1 if len(hits) else None
@@ -376,7 +375,7 @@ def _run_single(spec: ExperimentSpec, cfg: ScenarioConfig, run_id: str,
     rewards: list[float] = []
     if spec.algorithm == "optimal":
         results, alloc = evaluate_oracle(state, objective_cfg, eval_seed,
-                                         spec.eval_episodes)
+                                         EVAL_EPISODES)
     else:
         env = JnsaEnv(state.copy(), objective_cfg,
                       conflict_penalty=cfg.conflict_penalty, seed=env_seed)
@@ -387,7 +386,7 @@ def _run_single(spec: ExperimentSpec, cfg: ScenarioConfig, run_id: str,
             state, objective_cfg,
             trainer_f.online if trainer_f else None,
             trainer_u.online if trainer_u else None,
-            eval_seed, spec.eval_episodes,
+            eval_seed, EVAL_EPISODES,
             conflict_penalty=cfg.conflict_penalty)
         if checkpoint_dir is not None:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)

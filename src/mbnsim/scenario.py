@@ -165,6 +165,8 @@ def generate_scenario(cfg: ScenarioConfig,
     the coverage disc of a random TBS (hotspot placement), the rest uniformly
     in the cell. Bit-identical regeneration for a fixed (cfg, seed).
     """
+    # a gain tensor numpy cannot allocate fails here, not in the loops below
+    np.empty((cfg.n_fembb + cfg.n_eurllc, cfg.n_tbs + 1, cfg.subchannels_per_band))
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     channel = cfg.channel_params()
 

@@ -157,8 +157,7 @@ class TestSizeGuards:
         state = desk_state(n_fembb=4, n_eurllc=4, subchannels_per_band=8,
                            minislots_per_subchannel=7)
         with pytest.raises(InstanceSizeError):
-            enumerate_optimal(state, ScalarizedObjective.for_state(state),
-                              max_combinations=1000)
+            enumerate_optimal(state, ScalarizedObjective.for_state(state))
 
     @pytest.mark.parametrize("n_fembb", [4, 0])
     def test_node_budget(self, monkeypatch, n_fembb):

@@ -16,7 +16,7 @@ from mbnsim.config import (ConfigError, ScenarioConfig, load_scenario_config,
                            save_scenario_config)
 from mbnsim.env import (JnsaEnv, ScalarizedObjective, apply_mobility,
                         objective_breakdown, reached_stations)
-from mbnsim.harness import (ExperimentSpec, build_problem,
+from mbnsim.harness import (EVAL_EPISODES, ExperimentSpec, build_problem,
                             convergence_metric, derived_seed, greedy_rollout,
                             read_runs_csv, robustness_sweep, run_experiment,
                             summarize)
@@ -89,8 +89,7 @@ class TestSpecValidation:
             tiny_spec(seeds=(1, 2, 1)).validate()
 
     @pytest.mark.parametrize("field, value", [
-        ("episodes", 2.5), ("episodes", True), ("eval_episodes", 2.5),
-        ("eval_episodes", True), ("eval_episodes", 0),
+        ("episodes", 2.5), ("episodes", True),
         ("epsilon_decay_fraction", float("nan")),
         ("epsilon_decay_fraction", float("inf")),
         ("epsilon_decay_fraction", 0.0), ("epsilon_decay_fraction", -0.5),
@@ -144,7 +143,7 @@ class TestRunExperiment:
             assert "float32" not in text and "numpy" not in text
 
     def test_optimal_record_matches_direct_oracle(self):
-        spec = tiny_spec(algorithm="optimal", episodes=1, eval_episodes=2)
+        spec = tiny_spec(algorithm="optimal", episodes=1)
         record = run_experiment(spec)[0]
         # independent recomputation of the eval protocol
         cfg = spec.scenario
@@ -157,7 +156,7 @@ class TestRunExperiment:
                       seed=derived_seed(cfg.seed, 1, 1))
         rates = []
         from mbnsim.env import objective_breakdown
-        for _ in range(2):
+        for _ in range(EVAL_EPISODES):
             env.reset()
             alloc, _ = optimal_allocation(env.state, objective_cfg)
             rates.append(objective_breakdown(env.state, alloc,
@@ -586,9 +585,20 @@ class TestCli:
         ("", [*EVALUATE_MOBILITY, "--use-oracle",
               "--checkpoint-fembb", "{ckpt}/fembb.json"]),
         ("", [*EVALUATE_MOBILITY, "--use-oracle", "--seed", "-1"]),
-        # a size numpy refuses to allocate at once (142 PiB for one array)
+        # a size numpy refuses to allocate at once (2.91 EiB of gain tensor)
         ("subchannels_per_band: 1000000000000000\n",
          ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
+        # counts whose gain tensor numpy refuses, before any station or user
+        # is drawn in a Python loop
+        ("n_tbs: 1000000000000000\n",
+         ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
+        ("n_fembb: 1000000000000000\n",
+         ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
+        # integers no float holds are not finite
+        (f"cell_radius_m: {10 ** 400}\n",
+         ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
+        (f"rf_carrier_hz: {10 ** 400}\n",
+         ["train", "--algo", "dqn", "--seed", "1", "--episodes", "5"]),
     ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
             "zero_minislots_sweep_value", "repeated_sweep_value", "no_users",
@@ -601,7 +611,9 @@ class TestCli:
             "evaluate_oversized_header",
             "evaluate_without_fembb_checkpoint",
             "evaluate_oracle_with_checkpoint", "evaluate_negative_seed",
-            "evaluate_unallocatable_size"])
+            "evaluate_unallocatable_size", "evaluate_unallocatable_stations",
+            "evaluate_unallocatable_users", "evaluate_radius_beyond_float",
+            "train_carrier_beyond_float"])
     def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml_text)
@@ -614,6 +626,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+        if str(10 ** 400) in yaml_text:
+            assert "must be finite" in err
         if "--checkpoint-fembb" in argv:
             assert argv[argv.index("--checkpoint-fembb") + 1] in err
 
@@ -662,15 +676,17 @@ class TestCli:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_unallocatable_size_exit_code(self, tmp_path, capsys):
-        # the run fails after its output directory exists, as a diverged one
-        path = tmp_path / "cfg.yaml"
-        path.write_text("subchannels_per_band: 1000000000000000\n")
-        rc = cli.main(["train", "--config", str(path), "--algo", "dqn",
-                       "--episodes", "5", "--seed", "1",
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        # the run fails after its output directory exists, as a diverged one;
+        # a station count fails before the scenario's loops draw a station
+        for field in ("subchannels_per_band", "n_tbs"):
+            path = tmp_path / "cfg.yaml"
+            path.write_text(f"{field}: 1000000000000000\n")
+            rc = cli.main(["train", "--config", str(path), "--algo", "dqn",
+                           "--episodes", "5", "--seed", "1",
+                           "--out", str(tmp_path / field)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_node_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         from mbnsim import baselines
