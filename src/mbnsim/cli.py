@@ -1,6 +1,6 @@
 """Command-line entry points: train, sweep, evaluate, oracle.
 
-Exit code 0 on success; on failure a single machine-parsable line
+Exit code 0 on success; on any failure, usage errors included, one line
 ``error: <message>`` goes to stderr and the exit code is 2.
 """
 
@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .agents import Algorithm
-from .baselines import optimal_allocation
+from .baselines import check_instance_size, optimal_allocation
 from .config import ConfigError, ScenarioConfig, load_scenario_config
 from .env import JnsaEnv
 from .harness import (ALGORITHMS, ENV_VARIANTS, ROBUSTNESS_COLUMNS,
@@ -97,6 +97,8 @@ def cmd_evaluate(args) -> int:
     if ignored:
         raise ConfigError(f"--use-oracle takes no checkpoint, got {ignored}")
     counts = kept_user_counts(cfg, args.env_variant)
+    if args.use_oracle:
+        check_instance_size(sum(counts), cfg.subchannels_per_band)
     state, objective_cfg = build_problem(cfg, args.env_variant,
                                          derived_seed(cfg.seed, args.seed, 0))
 
@@ -113,12 +115,14 @@ def cmd_evaluate(args) -> int:
             if path:
                 decider[f"{cls}_model"] = _checkpoint_for(path, env, cls == "fembb")
     rows = robustness_sweep(state, objective_cfg, args.perturbation,
-                            args.values, noise_seeds=args.noise_seeds,
-                            mobility_speed_mps=args.speed, **decider)
+                            args.values, **decider)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(out, {"scenario": cfg.to_dict(), "seed": args.seed,
+                         "env_variant": args.env_variant,
+                         "use_oracle": args.use_oracle, "checkpoints": [
+                             args.checkpoint_fembb, args.checkpoint_eurllc],
                          "perturbation": args.perturbation,
                          "values": list(args.values)})
     write_rows(out / "robustness.csv", [ROBUSTNESS_COLUMNS] + [
@@ -127,8 +131,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subcommands' parsers are _Parsers too
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mbnsim",
         description="Multi-band network simulator and DRL benchmark harness")
     parser.add_argument("--version", action="version", version=__version__)
@@ -161,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--perturbation", choices=("csi", "mobility"),
                         required=True)
     p_eval.add_argument("--values", type=float, nargs="+", required=True)
-    p_eval.add_argument("--noise-seeds", type=int, default=24)
-    p_eval.add_argument("--speed", type=float, default=2.0)
     p_eval.add_argument("--use-oracle", action="store_true")
     p_eval.add_argument("--checkpoint-fembb")
     p_eval.add_argument("--checkpoint-eurllc")
@@ -171,9 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from .service import (FrameConfig, decoding_error_probability, punctured_rate,
                       shannon_rate)
 
 ALLOCATION_SCHEMA_VERSION = 1
+MOBILITY_SPEED_MPS = 2.0  # how fast apply_mobility moves every user
 _UNASSIGNED_KEY = (1 << 30, 1 << 30, 1 << 30)
 
 
@@ -616,22 +617,20 @@ def perturb_csi(state: NetworkState, delta: float, seed: int) -> NetworkState:
     return new
 
 
-def apply_mobility(state: NetworkState, alloc: Allocation, elapsed_s: float,
-                   speed_mps: float) -> NetworkState:
+def apply_mobility(state: NetworkState, alloc: Allocation,
+                   elapsed_s: float) -> NetworkState:
     """Translate every user radially away from the station serving it in
     `alloc` (FeMBB: `fembb_bs`, eURLLC: `eurllc_host`, unserved: the RF
-    station 0) by speed*elapsed and recompute gains (same fading draws)."""
+    station 0) by MOBILITY_SPEED_MPS * elapsed_s; gains keep their fading."""
     if not (math.isfinite(elapsed_s) and elapsed_s >= 0):
         raise ValueError(f"elapsed time must be finite and >= 0, got {elapsed_s!r}")
-    if not (math.isfinite(speed_mps) and speed_mps >= 0):
-        raise ValueError(f"speed must be finite and >= 0, got {speed_mps!r}")
     fembb, eurllc = state.fembb_users, state.eurllc_users
     if (alloc.n_fembb, alloc.n_eurllc) != (len(fembb), len(eurllc)):
         raise ValueError(f"the allocation holds {alloc.n_fembb} FeMBB and "
                          f"{alloc.n_eurllc} eURLLC users, the state "
                          f"{len(fembb)} and {len(eurllc)}")
     new = state.copy()
-    shift = speed_mps * elapsed_s
+    shift = MOBILITY_SPEED_MPS * elapsed_s
     if shift == 0.0:
         return new
     serving = np.zeros(state.n_users, dtype=int)

@@ -55,6 +55,7 @@ SWEEP_WHITELIST = ("n_fembb", "n_eurllc", "n_tbs", "aerial_fraction",
                    "hotspot_fraction", "subchannels_per_band",
                    "minislots_per_subchannel")
 CSI_NOISE_SEED_BASE = 7000  # noise draw r of a CSI row uses seed base + r
+CSI_NOISE_SEEDS = 24  # noise draws a CSI row averages over
 CONVERGENCE_WINDOW = 50  # episodes per moving average of episodes_to_95
 FINAL_WINDOW = 100  # last episodes whose mean sets episodes_to_95's target
 EVAL_EPISODES = 3  # greedy fading episodes a run's final scores average over
@@ -296,29 +297,22 @@ def convergence_metric(rewards) -> int | None:
 def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
                      perturbation: str, values, *,
                      allocation: Allocation | None = None,
-                     fembb_model=None, eurllc_model=None,
-                     noise_seeds: int = 24,
-                     mobility_speed_mps: float = 2.0) -> list[dict]:
+                     fembb_model=None, eurllc_model=None) -> list[dict]:
     """FeMBB total rate under CSI noise or mobility, one row per value.
 
     A frozen `allocation` is re-evaluated as-is on the perturbed state; a
     policy (its models) re-decides greedily on the perturbed observations.
-    CSI rows average over `noise_seeds` draws; mobility is deterministic and
-    moves each user away from the station serving it in the allocation
-    decided on `state`. A policy observes and acts over the stations `state`
-    reaches on every perturbed state too, as moving users may leave some.
+    CSI rows average over CSI_NOISE_SEEDS draws; mobility is deterministic
+    and moves each user away from the station serving it in the allocation
+    decided on `state`, for `value` seconds at `env.MOBILITY_SPEED_MPS`. A
+    policy observes and acts over the stations `state` reaches on every
+    perturbed state too, as moving users may leave some.
     """
     frozen = allocation is not None
     if frozen == (fembb_model is not None or eurllc_model is not None):
         raise ValueError("pass exactly one of allocation or policy models")
     if perturbation not in ("csi", "mobility"):
         raise ValueError(f"perturbation must be csi or mobility, got {perturbation!r}")
-    if (isinstance(noise_seeds, bool) or not isinstance(noise_seeds, int)
-            or noise_seeds < 1):
-        raise ValueError(f"noise_seeds must be an int >= 1, got {noise_seeds!r}")
-    if not (math.isfinite(mobility_speed_mps) and mobility_speed_mps >= 0):
-        raise ValueError(f"mobility speed must be finite and >= 0, "
-                         f"got {mobility_speed_mps!r}")
     values = list(values)
     if not all(math.isfinite(value) for value in values):
         raise ValueError(f"sweep values must be finite, got {values!r}")
@@ -339,10 +333,9 @@ def robustness_sweep(state: NetworkState, objective_cfg: ScalarizedObjective,
     for value in values:
         if perturbation == "csi":
             perturbed = [perturb_csi(state, value, seed=CSI_NOISE_SEED_BASE + rep)
-                         for rep in range(noise_seeds)]
+                         for rep in range(CSI_NOISE_SEEDS)]
         else:
-            perturbed = [apply_mobility(state, serving, value,
-                                        mobility_speed_mps)]
+            perturbed = [apply_mobility(state, serving, value)]
         mean, sem = _mean_sem(
             [objective_breakdown(s, decide(s), objective_cfg).fembb_total_rate_bps
              for s in perturbed])

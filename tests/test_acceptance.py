@@ -424,10 +424,10 @@ def test_criterion_8_robustness_ordering(robustness_policy):
     # CSI noise: one scenario state, 24 noise draws per delta
     oracle_alloc, _ = optimal_allocation(state, weights)
     frozen_rows = robustness_sweep(state, weights, "csi", deltas,
-                                   allocation=oracle_alloc, noise_seeds=24)
+                                   allocation=oracle_alloc)
     policy_rows = robustness_sweep(state, weights, "csi", deltas,
                                    fembb_model=fembb_model,
-                                   eurllc_model=eurllc_model, noise_seeds=24)
+                                   eurllc_model=eurllc_model)
     csi_frozen = _degradation(frozen_rows, 3.0)
     csi_policy = _degradation(policy_rows, 3.0)
     csi_ok = csi_frozen > csi_policy

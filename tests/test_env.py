@@ -711,7 +711,7 @@ class TestMobility:
         alloc.eurllc_k[0], alloc.eurllc_m[0] = 1, 0
         alloc.eurllc_host[0] = 2                    # THz station 2
         # FeMBB user 1 is unserved: it moves away from the RF station 0
-        out = apply_mobility(state, alloc, 10.0, 2.0)
+        out = apply_mobility(state, alloc, 10.0)
         assert out.users[fembb[0]].position.tolist() == [25.0, 20.0, 1.5]
         assert out.users[fembb[1]].position.tolist() == [0.0, -28.0, 1.5]
         assert out.users[eurllc[0]].position.tolist() == [0.0, 56.0, 1.5]
@@ -729,27 +729,25 @@ class TestMobility:
                                state.n_minislots)
             for elapsed in (0.0, 10.0):
                 with pytest.raises(ValueError, match="the allocation holds"):
-                    apply_mobility(state, wrong, elapsed, 2.0)
+                    apply_mobility(state, wrong, elapsed)
 
-    @pytest.mark.parametrize("elapsed, speed", [
-        (float("nan"), 2.0), (float("inf"), 2.0), (-1.0, 2.0),
-        (10.0, float("nan")), (10.0, float("inf")), (10.0, -5.0),
-    ], ids=["nan_elapsed", "inf_elapsed", "negative_elapsed", "nan_speed",
-            "inf_speed", "negative_speed"])
-    def test_bad_elapsed_or_speed_rejected(self, elapsed, speed):
+    @pytest.mark.parametrize("elapsed", [float("nan"), float("inf"), -1.0],
+                             ids=["nan_elapsed", "inf_elapsed",
+                                  "negative_elapsed"])
+    def test_bad_elapsed_rejected(self, elapsed):
         with pytest.raises(ValueError):
-            apply_mobility(*self._served_state()[:2], elapsed, speed)
+            apply_mobility(*self._served_state()[:2], elapsed)
 
     def test_zero_elapsed_is_identity(self):
         state, alloc, _ = self._served_state()
-        out = apply_mobility(state, alloc, 0.0, 2.0)
+        out = apply_mobility(state, alloc, 0.0)
         assert np.array_equal(out.gains, state.gains)
         for a, b in zip(out.users, state.users):
             assert np.array_equal(a.position, b.position)
 
     def test_distance_grows_exactly(self):
         state, alloc, serving = self._served_state()
-        out = apply_mobility(state, alloc, 10.0, 2.0)
+        out = apply_mobility(state, alloc, 10.0)
         for i in range(state.n_users):
             anchor = state.stations[serving[i]].position
             d0 = np.linalg.norm(state.users[i].position - anchor)
@@ -758,7 +756,7 @@ class TestMobility:
 
     def test_serving_gain_strictly_decreases(self):
         state, alloc, serving = self._served_state()
-        out = apply_mobility(state, alloc, 5.0, 2.0)
+        out = apply_mobility(state, alloc, 5.0)
         for i in range(state.n_users):
             j = serving[i]
             for k in range(state.n_subchannels):
@@ -766,5 +764,5 @@ class TestMobility:
 
     def test_longer_moves_leave_tbs_coverage(self):
         state, alloc, _ = self._served_state(seed=17)
-        out = apply_mobility(state, alloc, 40.0, 2.0)
+        out = apply_mobility(state, alloc, 40.0)
         assert not out.reachable[:, 1:].any()

@@ -16,10 +16,10 @@ from mbnsim.config import (ConfigError, ScenarioConfig, load_scenario_config,
                            save_scenario_config)
 from mbnsim.env import (JnsaEnv, ScalarizedObjective, apply_mobility,
                         objective_breakdown, reached_stations)
-from mbnsim.harness import (EVAL_EPISODES, ExperimentSpec, build_problem,
-                            convergence_metric, derived_seed, greedy_rollout,
-                            read_runs_csv, robustness_sweep, run_experiment,
-                            summarize)
+from mbnsim.harness import (CSI_NOISE_SEEDS, EVAL_EPISODES, ExperimentSpec,
+                            build_problem, convergence_metric, derived_seed,
+                            greedy_rollout, read_runs_csv, robustness_sweep,
+                            run_experiment, summarize)
 from mbnsim.nets import QNetwork, checkpoint_dict, save_checkpoint
 from mbnsim.scenario import generate_scenario
 
@@ -287,8 +287,7 @@ class TestRobustnessSweep:
         from mbnsim.env import objective_breakdown
         base_rate = objective_breakdown(state, alloc,
                                         weights).fembb_total_rate_bps
-        csi = robustness_sweep(state, weights, "csi", [1.0],
-                               allocation=alloc, noise_seeds=5)
+        csi = robustness_sweep(state, weights, "csi", [1.0], allocation=alloc)
         assert csi[0]["fembb_rate_bps_mean"] == pytest.approx(base_rate)
         assert csi[0]["fembb_rate_bps_sem"] == 0.0
         mob = robustness_sweep(state, weights, "mobility", [0.0],
@@ -305,9 +304,8 @@ class TestRobustnessSweep:
 
     def test_csi_rows_carry_sem(self):
         state, weights, alloc = self._frozen_setup()
-        rows = robustness_sweep(state, weights, "csi", [2.0],
-                                allocation=alloc, noise_seeds=20)
-        assert rows[0]["n"] == 20
+        rows = robustness_sweep(state, weights, "csi", [2.0], allocation=alloc)
+        assert rows[0]["n"] == CSI_NOISE_SEEDS == 24
         assert rows[0]["fembb_rate_bps_sem"] > 0.0
 
     def test_policy_keeps_its_stations_when_every_thz_link_vanishes(self):
@@ -321,7 +319,7 @@ class TestRobustnessSweep:
             (env.fembb_obs_dim, env.fembb_action_count),
             (env.eurllc_obs_dim, env.eurllc_action_count))]
         serving = greedy_rollout(env, *models)[0]
-        moved = apply_mobility(state, serving, 40.0, 2.0)
+        moved = apply_mobility(state, serving, 40.0)
         assert np.array_equal(reached_stations(moved), [0])
         rows = robustness_sweep(state, weights, "mobility", [0.0, 40.0],
                                 fembb_model=models[0], eurllc_model=models[1])
@@ -337,21 +335,15 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError):
             robustness_sweep(state, weights, "csi", [0.5], allocation=alloc)
 
-    @pytest.mark.parametrize("perturbation, values, kwargs", [
-        ("csi", [2.0], {"noise_seeds": True}),
-        ("csi", [2.0], {"noise_seeds": 2.0}),
-        ("csi", [2.0], {"noise_seeds": 0}),
-        ("csi", [2.0, float("nan")], {}),
-        ("mobility", [10.0], {"mobility_speed_mps": float("nan")}),
-        ("mobility", [10.0], {"mobility_speed_mps": -5.0}),
-        ("mobility", [float("inf")], {}),
-    ], ids=["bool_noise_seeds", "float_noise_seeds", "zero_noise_seeds",
-            "nan_value", "nan_speed", "negative_speed", "inf_value"])
-    def test_bad_sweep_input_rejected(self, perturbation, values, kwargs):
+    @pytest.mark.parametrize("perturbation, values", [
+        ("csi", [2.0, float("nan")]),
+        ("mobility", [float("inf")]),
+    ], ids=["nan_value", "inf_value"])
+    def test_bad_sweep_input_rejected(self, perturbation, values):
         state, weights, alloc = self._frozen_setup()
         with pytest.raises(ValueError):
             robustness_sweep(state, weights, perturbation, values,
-                             allocation=alloc, **kwargs)
+                             allocation=alloc)
 
 
 def write_shaped_checkpoints(directory: Path, cfg: ScenarioConfig) -> None:
@@ -372,6 +364,8 @@ def write_shaped_checkpoints(directory: Path, cfg: ScenarioConfig) -> None:
 
 
 EVALUATE_MOBILITY = ["evaluate", "--perturbation", "mobility", "--values", "0"]
+TINY_YAML = ("n_fembb: 2\nn_eurllc: 2\nsubchannels_per_band: 3\n"
+             "minislots_per_subchannel: 2\n")
 
 
 class TestCli:
@@ -420,7 +414,7 @@ class TestCli:
         cfg = self._write_cfg(tmp_path)
         rc = cli.main(["evaluate", "--config", str(cfg), "--use-oracle",
                        "--perturbation", "csi", "--values", "1", "2",
-                       "--noise-seeds", "4", "--out", str(tmp_path / "out")])
+                       "--out", str(tmp_path / "out")])
         assert rc == 0
         with open(tmp_path / "out/robustness.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -520,8 +514,7 @@ class TestCli:
     def test_evaluate_manifest_records_versions(self, tmp_path):
         rc = cli.main(["evaluate", "--config", str(self._write_cfg(tmp_path)),
                        "--use-oracle", "--perturbation", "csi", "--values",
-                       "1", "--noise-seeds", "2",
-                       "--out", str(tmp_path / "out")])
+                       "1", "--out", str(tmp_path / "out")])
         assert rc == 0
         manifest = json.loads((tmp_path / "out/manifest.json").read_text())
         assert manifest["learner_dtype"] == "float32"
@@ -531,6 +524,9 @@ class TestCli:
         assert manifest["perturbation"] == "csi"
         assert manifest["values"] == [1.0]
         assert manifest["scenario"]["n_fembb"] == 2
+        assert manifest["env_variant"] == "mbn"
+        assert manifest["use_oracle"] is True
+        assert manifest["checkpoints"] == [None, None]
 
     @pytest.mark.parametrize("yaml_text, argv", [
         ("subchannels_per_band: 0\n", ["oracle", "--seed", "1"]),
@@ -585,20 +581,31 @@ class TestCli:
         ("", [*EVALUATE_MOBILITY, "--use-oracle",
               "--checkpoint-fembb", "{ckpt}/fembb.json"]),
         ("", [*EVALUATE_MOBILITY, "--use-oracle", "--seed", "-1"]),
-        # a size numpy refuses to allocate at once (2.91 EiB of gain tensor)
+        # a size numpy refuses to allocate at once (2.91 EiB of gain tensor);
+        # without --use-oracle, as the oracle's size limit comes first
         ("subchannels_per_band: 1000000000000000\n",
-         ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
+         ["evaluate", "--perturbation", "csi", "--values", "1"]),
         # counts whose gain tensor numpy refuses, before any station or user
         # is drawn in a Python loop
         ("n_tbs: 1000000000000000\n",
-         ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
+         ["evaluate", "--perturbation", "csi", "--values", "1"]),
         ("n_fembb: 1000000000000000\n",
-         ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
+         ["evaluate", "--perturbation", "csi", "--values", "1"]),
         # integers no float holds are not finite
         (f"cell_radius_m: {10 ** 400}\n",
          ["evaluate", "--use-oracle", "--perturbation", "csi", "--values", "1"]),
         (f"rf_carrier_hz: {10 ** 400}\n",
          ["train", "--algo", "dqn", "--seed", "1", "--episodes", "5"]),
+        # usage errors keep the one-line contract too
+        ("", ["train", "--algo", "dqn", "--seed", "1", "--episodes", "2.5"]),
+        ("", ["train", "--algo", "dqn", "--seed", "x", "--episodes", "5"]),
+        ("", ["sweep", "--algo", "dqn", "--seed", "1", "--values", "2"]),
+        # on a scenario the oracle solves, so only the flag can fail
+        (TINY_YAML, [*EVALUATE_MOBILITY, "--use-oracle", "--speed", "2"]),
+        (TINY_YAML, ["evaluate", "--use-oracle", "--perturbation", "csi",
+                     "--values", "2", "--noise-seeds", "24"]),
+        ("", ["evaluate", "--use-oracle", "--perturbation", "fog",
+              "--values", "2"]),
     ], ids=["zero_subchannels", "zero_minislots", "error_target_above_1",
             "pathloss_below_2", "zero_blocklength", "negative_config_seed",
             "zero_minislots_sweep_value", "repeated_sweep_value", "no_users",
@@ -613,7 +620,9 @@ class TestCli:
             "evaluate_oracle_with_checkpoint", "evaluate_negative_seed",
             "evaluate_unallocatable_size", "evaluate_unallocatable_stations",
             "evaluate_unallocatable_users", "evaluate_radius_beyond_float",
-            "train_carrier_beyond_float"])
+            "train_carrier_beyond_float", "train_fractional_episodes",
+            "train_non_int_seed", "sweep_without_param", "evaluate_speed_flag",
+            "evaluate_noise_seeds_flag", "evaluate_unknown_perturbation"])
     def test_rejected_before_any_run(self, tmp_path, capsys, yaml_text, argv):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml_text)
@@ -628,8 +637,38 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         if str(10 ** 400) in yaml_text:
             assert "must be finite" in err
+        if yaml_text.endswith(": 1000000000000000\n"):
+            assert "Unable to allocate" in err
         if "--checkpoint-fembb" in argv:
             assert argv[argv.index("--checkpoint-fembb") + 1] in err
+
+    def test_evaluate_oracle_size_checked_before_drawing(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # 20 users exceed the oracle's 12: no scenario is drawn for them
+        def draw(*args, **kwargs):
+            raise AssertionError("the scenario was drawn")
+
+        monkeypatch.setattr(cli, "build_problem", draw)
+        path = tmp_path / "cfg.yaml"
+        path.write_text("n_fembb: 10\nn_eurllc: 10\n")
+        rc = cli.main(["evaluate", "--config", str(path), "--use-oracle",
+                       "--perturbation", "csi", "--values", "1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance exceeds search limits: 20 users")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_help_and_version_exit_zero(self, capsys):
+        for argv in (["--help"], ["evaluate", "--help"], ["--version"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert (__version__ if argv == ["--version"] else "usage:") in out
+            # the CSI draw count and the mobility speed are constants
+            assert "--noise-seeds" not in out and "--speed" not in out
 
     def test_sc_oracle_counts_only_terrestrial_users(self, tmp_path):
         # 16 users, of which sc keeps 6 - round(1.5) + 10 - round(2.5) = 12
@@ -725,6 +764,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [
+        # the CSI draw count and the speed are constants: no value of
+        # either flag is taken
         ["--perturbation", "csi", "--values", "2", "--noise-seeds", "0"],
         ["--perturbation", "csi", "--values", "2", "--noise-seeds", "-4"],
         ["--perturbation", "csi", "--values", "nan"],
